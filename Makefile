@@ -1,4 +1,5 @@
-# Developer and CI entry points. `make ci` is the gate: build, vet,
+# Developer and CI entry points. `make ci` is the gate: build, vet, the
+# experiment and socket suites repeated 20 times (flake detection),
 # race-clean tests (which include the kernel-vs-reference equivalence
 # suite), the same equivalence suite with the word-parallel kernels
 # force-disabled (the bit-serial oracle path, including the scalar
@@ -26,7 +27,7 @@ BENCH_BASELINE = BENCH_9.json
 # or harness regression silently dropping the new energy benchmarks).
 BENCH_REQUIRE = EnergyCharacterization/cold|Table2PreprocessingGrid/scratch|Activity/lanes|Serve/sessions|Serve/sessions-scalar|Serve/latency|Gateway/shards=1|Gateway/shards=4|Transport/inproc|Transport/tcp|Transport/udp|BatchChain/ama5-k16/batch64|BatchChain/ama5-k16/scalar|StoreColdWarm/fromzero|StoreColdWarm/warmstore
 
-.PHONY: all build vet test race race-arith race-energy race-serve race-gateway race-net race-batch race-store fuzz-smoke net-smoke test-reference bench bench-reference bench-json bench-diff bench-diff-smoke ci
+.PHONY: all build vet test test-repeat race race-arith race-energy race-serve race-gateway race-net race-batch race-store fuzz-smoke net-smoke test-reference bench bench-reference bench-json bench-diff bench-diff-smoke ci
 
 all: build
 
@@ -38,6 +39,11 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The socket and experiment suites repeated, so a timing-dependent test
+# shows up as a failure here instead of as an occasional red tier-1 run.
+test-repeat:
+	$(GO) test -count=20 ./internal/experiments ./internal/serve
 
 race:
 	$(GO) test -race ./...
@@ -83,11 +89,14 @@ net-smoke:
 	$(GO) run ./cmd/xbiosip -samples 6000 -net udp -sessions 4 serve > /dev/null
 
 # The batch-evaluation equivalence suites across every layer that grew a
-# batched path — kernel BatchChain, dsp block hooks, PipelineBatch, the
-# batched serve drain and the netlist stream simulator — under -race,
-# with the per-sample/scalar paths as in-process oracles.
+# batched path — kernel BatchChain, dsp block hooks, PipelineBatch
+# (including its start-at-stage entry), the batched serve drain and the
+# netlist stream simulator — under -race, with the per-sample/scalar
+# paths as in-process oracles; plus the evaluator's stage-reuse
+# exactness, warm-allocation and pool-shutdown tests.
 race-batch:
 	$(GO) test -race -count=1 -run 'Batch|Streams|Discard' ./internal/arith/kernel ./internal/dsp ./internal/pantompkins ./internal/serve ./internal/netlist
+	$(GO) test -race -count=1 -run 'StageReuse|WarmShard|CloseStops' ./internal/core
 
 # The artifact store under -race: concurrent cross-handle publishers
 # (first-insert-wins through the lockfile), the in-process crash-point
@@ -120,6 +129,7 @@ fuzz-smoke:
 test-reference:
 	XBIOSIP_NO_KERNELS=1 $(GO) test -count=1 -race ./internal/arith/kernel ./internal/dsp ./internal/pantompkins ./internal/netlist ./internal/energy
 	XBIOSIP_NO_KERNELS=1 $(GO) test -count=1 -race -run 'Batch|Discard' ./internal/serve
+	XBIOSIP_NO_KERNELS=1 $(GO) test -count=1 -race -run 'StageReuse|WarmShard' ./internal/core
 
 # One iteration of every benchmark: regenerates each table/figure once and
 # exercises the parallel DSE engine and the kernel-vs-reference
@@ -155,4 +165,4 @@ bench-diff:
 bench-diff-smoke:
 	$(GO) run ./cmd/benchdiff -threshold 0.15 -bytes-threshold 0.15 -allocs-threshold 0.15 -require '$(BENCH_REQUIRE)' $(BENCH_SNAPSHOT) $(BENCH_SNAPSHOT) > /dev/null
 
-ci: build vet race race-arith race-energy race-serve race-gateway race-net race-batch race-store fuzz-smoke net-smoke test-reference bench bench-reference bench-diff-smoke
+ci: build vet test-repeat race race-arith race-energy race-serve race-gateway race-net race-batch race-store fuzz-smoke net-smoke test-reference bench bench-reference bench-diff-smoke

@@ -159,6 +159,7 @@ func BenchmarkTable2PreprocessingGrid(b *testing.B) {
 			b.StartTimer()
 			kernel.DropCaches()
 			run(b, s)
+			s.Close()
 		}
 	})
 	b.Run("scratch", func(b *testing.B) {
@@ -172,6 +173,7 @@ func BenchmarkTable2PreprocessingGrid(b *testing.B) {
 			kernel.DropCaches()
 			energy.DropCaches()
 			run(b, s)
+			s.Close()
 		}
 	})
 }
@@ -210,6 +212,7 @@ func BenchmarkStoreColdWarm(b *testing.B) {
 			kernel.DropCaches()
 			energy.DropCaches()
 			run(b, s)
+			s.Close()
 		}
 	})
 	b.Run("warmstore", func(b *testing.B) {
@@ -226,6 +229,7 @@ func BenchmarkStoreColdWarm(b *testing.B) {
 		kernel.AttachStore(st)
 		energy.AttachStore(st)
 		run(b, s)
+		s.Close()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			s, err := experiments.NewSetup(1, 6000)
@@ -240,6 +244,7 @@ func BenchmarkStoreColdWarm(b *testing.B) {
 			kernel.AttachStore(st)
 			energy.AttachStore(st)
 			run(b, s)
+			s.Close()
 		}
 		b.StopTimer()
 		fst := st.Stats()
@@ -434,6 +439,7 @@ func BenchmarkDSEWorkers(b *testing.B) {
 				if _, err := dse.Generate(opt, evalPSNR, em.StageEnergy); err != nil {
 					b.Fatal(err)
 				}
+				eval.Close()
 			}
 		})
 	}
@@ -479,6 +485,7 @@ func BenchmarkEvaluatorShards(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+				eval.Close()
 			}
 		})
 	}

@@ -136,6 +136,20 @@ func printKernelStats() {
 		est.Entries, est.Cells, float64(est.ActivityBytes)/1024, est.Hits, est.Misses)
 }
 
+// printEvalStats reports the evaluator's cache and stage-reuse
+// accounting: of the batched (multi-record shard) simulations, how many
+// reused the previous run's low-passed signals (started at HPF) or its
+// filtered signals too (started at DER).
+func printEvalStats(e *core.Evaluator) {
+	st, r := e.CacheStats(), e.ReuseStats()
+	share := 0.0
+	if r.Batched > 0 {
+		share = 100 * float64(r.FromHPF+r.FromDER) / float64(r.Batched)
+	}
+	fmt.Printf("evaluator: %d simulations, %d cache hits; %d batched shard runs, %d started at HPF, %d at DER (%.1f%% reused)\n",
+		st.Misses, st.Hits, r.Batched, r.FromHPF, r.FromDER, share)
+}
+
 // designFootprint prints one design's live kernel table bytes.
 func designFootprint(label string, cfg pantompkins.Config) {
 	p, err := pantompkins.New(cfg)
@@ -195,6 +209,10 @@ func run(what string, records, samples int, psnr, accuracy float64, workers, sha
 	s, err := experiments.NewSetupOpts(records, samples, core.EvalOptions{Workers: workers, RecordShards: shards})
 	if err != nil {
 		return err
+	}
+	defer s.Close()
+	if verbose {
+		defer printEvalStats(s.Eval)
 	}
 	all := what == "all"
 	if all {

@@ -25,8 +25,10 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"github.com/xbiosip/xbiosip/internal/approx"
+	"github.com/xbiosip/xbiosip/internal/arith/kernel"
 	"github.com/xbiosip/xbiosip/internal/dse"
 	"github.com/xbiosip/xbiosip/internal/ecg"
 	"github.com/xbiosip/xbiosip/internal/energy"
@@ -81,6 +83,16 @@ type EvalOptions struct {
 // its records across the same pool, and any design revisited — by a later
 // phase, a baseline, or another experiment over the same record set — is
 // served from the cache instead of re-simulated.
+//
+// A cache miss that does simulate shares work with the miss before it:
+// a multi-record shard whose record range and leading stage
+// configurations match what a pooled scratch last evaluated skips those
+// stages (see evalRange). Consecutive designs of an exploration often
+// differ only in later stages — every row of the Table 2 grid shares
+// its low-pass design — so this saves a stage per design without
+// changing a bit of any result. ReuseStats counts it.
+//
+// Close stops the worker pool once the evaluator is no longer needed.
 type Evaluator struct {
 	Records []*ecg.Record
 	// Tolerance is the peak matching window in samples. It may be set
@@ -102,13 +114,17 @@ type Evaluator struct {
 		sync.Mutex
 		free []*recScratch
 	}
+
+	reuse struct{ batched, fromHPF, fromDER atomic.Int64 }
 }
 
 // recScratch is one worker's reusable simulation state: per-record
 // pipelines plus the shared batch plan that evaluates a multi-record
 // shard word-parallel (rebound per configuration, its packed scratch
 // kept), the whole-record output buffers of the single-record path, and
-// the detector scratch the per-record decision pass reuses.
+// the detector scratch the per-record decision pass reuses. held
+// describes the batched run whose low-passed and filtered signals the
+// batch's scratch still holds.
 type recScratch struct {
 	det   pantompkins.PeakDetector
 	out   pantompkins.Outputs
@@ -116,6 +132,44 @@ type recScratch struct {
 	batch *pantompkins.PipelineBatch
 	pipes []*pantompkins.Pipeline
 	blks  [][]int16
+	held  prefix
+}
+
+// prefix keys the stage outputs a batched run leaves behind: its record
+// range, the kernel mode it ran in (so an oracle-mode evaluation never
+// reads kernel-mode outputs) and its canonical configuration. hi == 0
+// means nothing is held.
+type prefix struct {
+	lo, hi  int
+	kernels bool
+	cfg     pantompkins.Config
+}
+
+// resume returns the first stage a run keyed want must compute when the
+// scratch holds the outputs of a run keyed p: HPF when the low-pass
+// designs match, DER when the high-pass designs match too, LPF
+// otherwise.
+func (p prefix) resume(want prefix) pantompkins.Stage {
+	if p.hi == 0 || p.lo != want.lo || p.hi != want.hi || p.kernels != want.kernels ||
+		p.cfg.Stage[pantompkins.LPF] != want.cfg.Stage[pantompkins.LPF] {
+		return pantompkins.LPF
+	}
+	if p.cfg.Stage[pantompkins.HPF] != want.cfg.Stage[pantompkins.HPF] {
+		return pantompkins.HPF
+	}
+	return pantompkins.DER
+}
+
+// ReuseStats counts how batched shard evaluations shared stage outputs
+// with the evaluation before them on the same scratch.
+type ReuseStats struct {
+	// Batched counts multi-record shard evaluations, the ones that can
+	// reuse stages (single-record shards run whole records unbatched).
+	Batched int64
+	// FromHPF and FromDER count the batched evaluations that reused the
+	// low-passed signals and started at the high pass, or reused the
+	// filtered signals too and started at the derivative.
+	FromHPF, FromDER int64
 }
 
 // recPartial is the per-record slice of a Quality record.
@@ -160,6 +214,21 @@ func (e *Evaluator) Evaluations() int { return int(e.eng.Stats().Misses) }
 // CacheStats returns the evaluation cache accounting.
 func (e *Evaluator) CacheStats() sched.Stats { return e.eng.Stats() }
 
+// ReuseStats returns the stage-reuse accounting of the simulated
+// (cache-missing) evaluations.
+func (e *Evaluator) ReuseStats() ReuseStats {
+	return ReuseStats{
+		Batched: e.reuse.batched.Load(),
+		FromHPF: e.reuse.fromHPF.Load(),
+		FromDER: e.reuse.fromDER.Load(),
+	}
+}
+
+// Close stops the evaluator's worker pool. Cached results stay readable,
+// but a later cache miss panics. It must not be called while
+// evaluations are in flight.
+func (e *Evaluator) Close() { e.eng.Close() }
+
 // Evaluate returns the (possibly cached) aggregated quality of cfg over
 // every record.
 func (e *Evaluator) Evaluate(cfg pantompkins.Config) (Quality, error) {
@@ -182,16 +251,25 @@ func (e *Evaluator) latchTolerance() error {
 	return nil
 }
 
-// getScratch pops warm simulation state (or a fresh zero one).
-func (e *Evaluator) getScratch() *recScratch {
+// getScratch pops warm simulation state for a run keyed want (or a
+// fresh zero one): the free scratch that lets the run skip the most
+// stages, the most recently returned one among equals.
+func (e *Evaluator) getScratch(want prefix) *recScratch {
 	e.scratch.Lock()
 	defer e.scratch.Unlock()
-	if n := len(e.scratch.free); n > 0 {
-		sc := e.scratch.free[n-1]
-		e.scratch.free = e.scratch.free[:n-1]
-		return sc
+	free := e.scratch.free
+	if len(free) == 0 {
+		return &recScratch{}
 	}
-	return &recScratch{}
+	best := len(free) - 1
+	for i := best - 1; i >= 0; i-- {
+		if free[i].held.resume(want) > free[best].held.resume(want) {
+			best = i
+		}
+	}
+	sc := free[best]
+	e.scratch.free = append(free[:best], free[best+1:]...)
+	return sc
 }
 
 func (e *Evaluator) putScratch(sc *recScratch) {
@@ -211,11 +289,23 @@ func (e *Evaluator) putScratch(sc *recScratch) {
 // batching it would only add packing copies. Outputs are bit-identical
 // either way — the batch amortizes dispatch, it does not change
 // arithmetic — so cached Quality values match for every
-// (workers, shards) split. After warm-up (a pooled scratch holding
-// cfg's pipelines exists) a shard evaluation allocates nothing, and a
-// configuration change reuses the batch's packed scratch (Reset).
+// (workers, shards) split.
+//
+// A multi-record shard also reuses stage outputs: when the scratch's
+// batch last ran the same record range in the same kernel mode with the
+// same canonical low-pass (and high-pass) design, the run starts at the
+// high pass (derivative) and reads the held signals
+// (PipelineBatch.RunFrom), which are exactly what the skipped stages
+// would compute. getScratch steers each shard to the scratch that skips
+// the most. The single-record path never reuses; it is the no-reuse
+// reference the batched path is tested against.
+//
+// After warm-up (a pooled scratch holding cfg's pipelines exists) a
+// shard evaluation allocates nothing, and a configuration change reuses
+// the batch's packed scratch (Reset).
 func (e *Evaluator) evalRange(cfg pantompkins.Config, lo, hi int, parts []recPartial) error {
-	sc := e.getScratch()
+	want := prefix{lo: lo, hi: hi, kernels: kernel.Enabled(), cfg: sched.Canonical(cfg)}
+	sc := e.getScratch(want)
 	defer e.putScratch(sc)
 	n := hi - lo
 	if sc.cfg != cfg {
@@ -255,7 +345,18 @@ func (e *Evaluator) evalRange(cfg pantompkins.Config, lo, hi int, parts []recPar
 		sc.pipes[ri-lo].Reset()
 		sc.blks = append(sc.blks, e.Records[ri].Samples)
 	}
-	filt, integ := sc.batch.Run(sc.pipes[:n], sc.blks)
+	start := sc.held.resume(want)
+	e.reuse.batched.Add(1)
+	switch start {
+	case pantompkins.HPF:
+		e.reuse.fromHPF.Add(1)
+	case pantompkins.DER:
+		e.reuse.fromDER.Add(1)
+	}
+	// Held outputs are void until the run completes.
+	sc.held = prefix{}
+	filt, integ := sc.batch.RunFrom(start, sc.pipes[:n], sc.blks)
+	sc.held = want
 	for ri := lo; ri < hi; ri++ {
 		p, err := e.gradeRecord(ri, filt[ri-lo], integ[ri-lo], sc)
 		if err != nil {

@@ -5,8 +5,10 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"github.com/xbiosip/xbiosip/internal/approx"
+	"github.com/xbiosip/xbiosip/internal/arith/kernel"
 	"github.com/xbiosip/xbiosip/internal/dse"
 	"github.com/xbiosip/xbiosip/internal/dsp"
 	"github.com/xbiosip/xbiosip/internal/ecg"
@@ -178,6 +180,7 @@ func TestEvaluatorShardDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer eval.Close()
 		var o outcome
 		for _, k := range []int{0, 4, 10, 16} {
 			q, err := eval.Evaluate(probe(k))
@@ -249,8 +252,9 @@ func TestEvaluatorShardDeterminism(t *testing.T) {
 }
 
 // TestEvaluatorWarmShardAllocationFree checks the per-record shard
-// evaluation performs zero allocations once its scratch (pipeline, stage
-// buffers, detector) is warm.
+// evaluation, and a batched multi-record shard that reuses held stage
+// outputs, perform zero allocations once their scratch (pipelines,
+// stage buffers, detector) is warm.
 func TestEvaluatorWarmShardAllocationFree(t *testing.T) {
 	eval := testEvaluator(t, 3000)
 	var cfg pantompkins.Config
@@ -271,6 +275,164 @@ func TestEvaluatorWarmShardAllocationFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("warm shard evaluation allocates %.2f times per record, want 0", avg)
+	}
+
+	// A multi-record shard re-evaluating its design starts at the
+	// derivative, reading the held low-passed and filtered signals.
+	batched, err := NewEvaluatorOpts(testRecords(t, 3, 3000), EvalOptions{Workers: 1, RecordShards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer batched.Close()
+	if _, err := batched.Evaluate(cfg); err != nil {
+		t.Fatal(err)
+	}
+	parts = make([]recPartial, 3)
+	if err := batched.evalRange(cfg, 0, 3, parts); err != nil {
+		t.Fatal(err)
+	}
+	before := batched.ReuseStats()
+	avg = testing.AllocsPerRun(20, func() {
+		if err := batched.evalRange(cfg, 0, 3, parts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("warm batched shard evaluation with reuse allocates %.2f times, want 0", avg)
+	}
+	if after := batched.ReuseStats(); after.FromDER-before.FromDER != after.Batched-before.Batched || after.Batched == before.Batched {
+		t.Fatalf("re-evaluations did not start at DER: %+v -> %+v", before, after)
+	}
+}
+
+func testRecords(t *testing.T, n, samples int) []*ecg.Record {
+	t.Helper()
+	var records []*ecg.Record
+	for i := 0; i < n; i++ {
+		rec, err := ecg.NSRDBRecord(i, samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records = append(records, rec)
+	}
+	return records
+}
+
+// TestEvaluatorStageReuseExact walks a configuration order through
+// every stage-reuse level — same low pass, same low and high pass, a
+// prefix change, a canonically equal low pass, a kernel-mode flip, a
+// record-range change — and checks each Quality against a fresh
+// evaluator that sees only that configuration, and each run's start
+// stage against the counters.
+func TestEvaluatorStageReuseExact(t *testing.T) {
+	records := testRecords(t, 4, 2500)
+	approxStage := func(k int, add approx.AdderKind) dsp.ArithConfig {
+		return dsp.ArithConfig{LSBs: k, Add: add, Mul: approx.AppMultV1}
+	}
+	design := func(lpf, hpf, der dsp.ArithConfig) pantompkins.Config {
+		var cfg pantompkins.Config
+		cfg.Stage[pantompkins.LPF] = lpf
+		cfg.Stage[pantompkins.HPF] = hpf
+		cfg.Stage[pantompkins.DER] = der
+		return cfg
+	}
+	a5 := approx.ApproxAdd5
+	fresh := func(opts EvalOptions, cfg pantompkins.Config) Quality {
+		t.Helper()
+		e, err := NewEvaluatorOpts(records, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		q, err := e.Evaluate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	steps := []struct {
+		name     string
+		cfg      pantompkins.Config
+		oracle   bool  // evaluate with kernel.SetEnabled(false)
+		hpf, der int64 // expected FromHPF/FromDER increments
+	}{
+		{"first", design(approxStage(8, a5), dsp.ArithConfig{}, dsp.ArithConfig{}), false, 0, 0},
+		{"same LPF", design(approxStage(8, a5), approxStage(6, a5), dsp.ArithConfig{}), false, 1, 0},
+		{"same LPF+HPF", design(approxStage(8, a5), approxStage(6, a5), approxStage(2, a5)), false, 0, 1},
+		{"LPF changed", design(approxStage(4, a5), approxStage(6, a5), dsp.ArithConfig{}), false, 0, 0},
+		{"accurate LPF", design(approxStage(0, approx.ApproxAdd1), approxStage(2, a5), dsp.ArithConfig{}), false, 0, 0},
+		{"canonically same LPF", design(dsp.ArithConfig{}, approxStage(4, a5), dsp.ArithConfig{}), false, 1, 0},
+		{"kernels off", design(dsp.ArithConfig{}, approxStage(8, a5), dsp.ArithConfig{}), true, 0, 0},
+		{"kernels off, same LPF", design(dsp.ArithConfig{}, approxStage(10, a5), dsp.ArithConfig{}), true, 1, 0},
+		{"kernels back on", design(dsp.ArithConfig{}, approxStage(10, a5), approxStage(4, a5)), false, 0, 0},
+	}
+	opts := EvalOptions{Workers: 1, RecordShards: 1}
+	eval, err := NewEvaluatorOpts(records, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eval.Close()
+	for i, st := range steps {
+		prev := kernel.SetEnabled(!st.oracle)
+		before := eval.ReuseStats()
+		got, err := eval.Evaluate(st.cfg)
+		after := eval.ReuseStats()
+		want := fresh(opts, st.cfg)
+		kernel.SetEnabled(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("step %d (%s): reused evaluation %+v, fresh %+v", i, st.name, got, want)
+		}
+		if after.Batched-before.Batched != 1 || after.FromHPF-before.FromHPF != st.hpf || after.FromDER-before.FromDER != st.der {
+			t.Errorf("step %d (%s): reuse counters %+v -> %+v, want +1 batched, +%d from HPF, +%d from DER",
+				i, st.name, before, after, st.hpf, st.der)
+		}
+	}
+
+	// Two shards on one worker share one scratch, and each shard finds
+	// the other's record range held: same designs, no reuse.
+	split := EvalOptions{Workers: 1, RecordShards: 2}
+	eval2, err := NewEvaluatorOpts(records, split)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eval2.Close()
+	for i, st := range steps[:3] {
+		got, err := eval2.Evaluate(st.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fresh(split, st.cfg); got != want {
+			t.Errorf("split step %d (%s): %+v, fresh %+v", i, st.name, got, want)
+		}
+	}
+	if r := eval2.ReuseStats(); r.Batched != 6 || r.FromHPF != 0 || r.FromDER != 0 {
+		t.Errorf("record-range change reused stages: %+v", r)
+	}
+}
+
+// TestEvaluatorCloseStopsWorkers checks Close leaves no worker
+// goroutines behind.
+func TestEvaluatorCloseStopsWorkers(t *testing.T) {
+	const workers = 4
+	eval, err := NewEvaluatorOpts(testRecords(t, 2, 2000), EvalOptions{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One shard per record: the evaluation scatters, starting the pool.
+	if _, err := eval.Evaluate(pantompkins.AccurateConfig()); err != nil {
+		t.Fatal(err)
+	}
+	running := runtime.NumGoroutine()
+	eval.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > running-workers {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d with the %d workers running", runtime.NumGoroutine(), running, workers)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

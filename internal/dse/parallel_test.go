@@ -41,6 +41,7 @@ func preOptions(t *testing.T) (dse.Options, dse.EvaluateFunc, dse.StageEnergyFun
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(eval.Close)
 	stim, err := energy.NewStimulus(rec)
 	if err != nil {
 		t.Fatal(err)

@@ -85,6 +85,9 @@ func NewSetupOpts(numRecords, n int, opts core.EvalOptions) (*Setup, error) {
 	}, nil
 }
 
+// Close stops the evaluator's worker pool; see core.Evaluator.Close.
+func (s *Setup) Close() { s.Eval.Close() }
+
 // workers resolves the Setup's worker count to the documented default
 // (0 = all CPUs); dse.Options itself treats 0 as sequential.
 func (s *Setup) workers() int {

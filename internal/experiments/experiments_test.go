@@ -185,6 +185,7 @@ func TestEnergyFiguresWarmColdShardIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer s.Close()
 		rows, err := s.Fig12()
 		if err != nil {
 			t.Fatal(err)

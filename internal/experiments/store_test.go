@@ -33,6 +33,7 @@ func TestTable2StoreRegimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	table2 := func() string {
 		r, err := s.Table2(15)
 		if err != nil {

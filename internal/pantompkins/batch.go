@@ -19,7 +19,11 @@ import (
 //
 // A PipelineBatch owns the donor pipeline that compiled the shared
 // plans plus reusable packed scratch, so one instance per draining
-// goroutine runs allocation-free in steady state.
+// goroutine runs allocation-free in steady state. The scratch keeps the
+// last run's low-passed and filtered signals until the next run, which
+// RunFrom exploits: whole-record evaluations of designs that share
+// leading stage configurations (one design-space evaluation after
+// another) skip the shared stages and read their outputs back.
 type PipelineBatch struct {
 	cfg   Config
 	donor *Pipeline
@@ -28,6 +32,8 @@ type PipelineBatch struct {
 	der   *kernel.BatchChain
 
 	lpfShift, hpfShift, derShift uint
+
+	total int // samples in the last run (RunFrom's geometry guard)
 
 	xs []int64 // widened raw samples, packed stream-major
 	lp []int64 // low-passed, same geometry
@@ -84,6 +90,28 @@ func (b *PipelineBatch) Config() Config { return b.cfg }
 // are legal (the stream sits the round out). Rounds wider than
 // kernel.MaxBatch are chunked internally, so any width works.
 func (b *PipelineBatch) Run(pipes []*Pipeline, blocks [][]int16) (filtered, integrated [][]int64) {
+	return b.run(LPF, pipes, blocks)
+}
+
+// RunFrom is Run for whole-record evaluations from reset pipelines that
+// starts at stage start: LPF runs every stage, HPF reuses the previous
+// run's low-passed signals, DER its filtered signals. (Nothing later can
+// be reused: the derivative buffer is squared in place.) The caller
+// guarantees what the batch cannot check: the previous run consumed the
+// same blocks from reset pipelines, with the same configuration of
+// every skipped stage, compiled in the same kernel mode. The outputs
+// are then bit-identical to Run's. Skipped stages' delay lines are not
+// advanced, so the pipes are no mid-stream continuation afterwards;
+// Reset them before reuse.
+func (b *PipelineBatch) RunFrom(start Stage, pipes []*Pipeline, blocks [][]int16) (filtered, integrated [][]int64) {
+	if start > DER {
+		panic(fmt.Sprintf("pantompkins: PipelineBatch cannot start at %v", start))
+	}
+	return b.run(start, pipes, blocks)
+}
+
+// run is Run/RunFrom: it evaluates the stages from start on.
+func (b *PipelineBatch) run(start Stage, pipes []*Pipeline, blocks [][]int16) (filtered, integrated [][]int64) {
 	if len(pipes) != len(blocks) {
 		panic("pantompkins: PipelineBatch pipes/blocks length mismatch")
 	}
@@ -95,6 +123,11 @@ func (b *PipelineBatch) Run(pipes []*Pipeline, blocks [][]int16) (filtered, inte
 		}
 		total += len(blocks[i])
 	}
+	if start > LPF && total != b.total {
+		panic(fmt.Sprintf("pantompkins: PipelineBatch starting at %v over %d samples, previous run had %d",
+			start, total, b.total))
+	}
+	b.total = total
 	if cap(b.xs) < total {
 		b.xs = make([]int64, total)
 		b.lp = make([]int64, total)
@@ -111,17 +144,19 @@ func (b *PipelineBatch) Run(pipes []*Pipeline, blocks [][]int16) (filtered, inte
 	p := 0
 	for i, block := range blocks {
 		offs[i] = p
-		for _, s := range block {
-			b.xs[p] = int64(s)
-			p++
+		if start == LPF {
+			for j, s := range block {
+				b.xs[p+j] = int64(s)
+			}
 		}
+		p += len(block)
 	}
 	for off := 0; off < len(pipes); off += kernel.MaxBatch {
 		end := off + kernel.MaxBatch
 		if end > len(pipes) {
 			end = len(pipes)
 		}
-		b.runChunk(pipes[off:end], blocks[off:end], offs[off:end])
+		b.runChunk(start, pipes[off:end], blocks[off:end], offs[off:end])
 	}
 	for i := range pipes {
 		n := len(blocks[i])
@@ -131,39 +166,44 @@ func (b *PipelineBatch) Run(pipes []*Pipeline, blocks [][]int16) (filtered, inte
 	return b.ftV, b.igV
 }
 
-// runChunk runs one ≤MaxBatch-wide round through the five stages.
-func (b *PipelineBatch) runChunk(pipes []*Pipeline, blocks [][]int16, offs []int) {
+// runChunk runs one ≤MaxBatch-wide round through the stages from start
+// on.
+func (b *PipelineBatch) runChunk(start Stage, pipes []*Pipeline, blocks [][]int16, offs []int) {
 	if cap(b.ins) < len(pipes) {
 		b.ins = make([]kernel.BatchIn, len(pipes))
 	}
 	ins := b.ins[:len(pipes)]
 
 	// Stage A: low pass over the widened raw samples.
-	for i, p := range pipes {
-		n := len(blocks[i])
-		ins[i] = kernel.BatchIn{
-			Hist: p.lpf.History(),
-			Xs:   b.xs[offs[i] : offs[i]+n],
-			Dst:  b.lp[offs[i] : offs[i]+n],
+	if start <= LPF {
+		for i, p := range pipes {
+			n := len(blocks[i])
+			ins[i] = kernel.BatchIn{
+				Hist: p.lpf.History(),
+				Xs:   b.xs[offs[i] : offs[i]+n],
+				Dst:  b.lp[offs[i] : offs[i]+n],
+			}
 		}
-	}
-	b.lpf.Run(ins, b.lpfShift, dsp.SampleWidth)
-	for i, p := range pipes {
-		p.lpf.Advance(ins[i].Xs)
+		b.lpf.Run(ins, b.lpfShift, dsp.SampleWidth)
+		for i, p := range pipes {
+			p.lpf.Advance(ins[i].Xs)
+		}
 	}
 
 	// Stage B: high pass over the low-passed block.
-	for i, p := range pipes {
-		n := len(blocks[i])
-		ins[i] = kernel.BatchIn{
-			Hist: p.hpf.History(),
-			Xs:   b.lp[offs[i] : offs[i]+n],
-			Dst:  b.ft[offs[i] : offs[i]+n],
+	if start <= HPF {
+		for i, p := range pipes {
+			n := len(blocks[i])
+			ins[i] = kernel.BatchIn{
+				Hist: p.hpf.History(),
+				Xs:   b.lp[offs[i] : offs[i]+n],
+				Dst:  b.ft[offs[i] : offs[i]+n],
+			}
 		}
-	}
-	b.hpf.Run(ins, b.hpfShift, dsp.SampleWidth)
-	for i, p := range pipes {
-		p.hpf.Advance(ins[i].Xs)
+		b.hpf.Run(ins, b.hpfShift, dsp.SampleWidth)
+		for i, p := range pipes {
+			p.hpf.Advance(ins[i].Xs)
+		}
 	}
 
 	// Stage C: derivative over the filtered block.

@@ -164,6 +164,103 @@ func TestPipelineBatchConfigMismatch(t *testing.T) {
 	pb.Run([]*Pipeline{op}, [][]int16{{1, 2, 3}})
 }
 
+// TestPipelineBatchRunFrom checks the start-at-stage entry: after a
+// whole-record run of one design, RunFrom over the same blocks for a
+// design sharing its leading stages must give every stream exactly the
+// signals a fresh whole-record Run of that design gives, across widths
+// past kernel.MaxBatch and in both kernel modes; starting past DER or
+// over a different geometry must panic.
+func TestPipelineBatchRunFrom(t *testing.T) {
+	b9 := batchTestConfigs()[1]
+	newHPF := b9
+	newHPF.Stage[HPF].LSBs = 4
+	newDER := newHPF
+	newDER.Stage[DER].LSBs = 4
+	newDER.Stage[MWI] = dsp.ArithConfig{}
+	for _, mode := range []bool{true, false} {
+		prev := kernel.SetEnabled(mode)
+		rng := rand.New(rand.NewSource(59))
+		width := 70
+		if !mode {
+			width = 3 // the bit-serial oracle is slow; chunking is mode-blind
+		}
+		blocks := make([][]int16, width)
+		for s := range blocks {
+			blocks[s] = make([]int16, 300+(s*29)%200)
+			for i := range blocks[s] {
+				blocks[s][i] = int16(rng.Uint64() >> 4)
+			}
+		}
+		pipesOf := func(cfg Config) []*Pipeline {
+			pipes := make([]*Pipeline, len(blocks))
+			for s := range pipes {
+				p, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pipes[s] = p
+			}
+			return pipes
+		}
+		donor, err := New(b9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb := NewPipelineBatch(donor)
+		for _, step := range []struct {
+			cfg   Config
+			start Stage
+		}{{b9, LPF}, {newHPF, HPF}, {newDER, DER}, {newDER, DER}, {b9, HPF}} {
+			if pb.Config() != step.cfg {
+				d, err := New(step.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pb.Reset(d)
+			}
+			filt, integ := pb.RunFrom(step.start, pipesOf(step.cfg), blocks)
+			ref, err := New(step.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s, block := range blocks {
+				ref.Reset()
+				want := ref.Run(block)
+				for i := range block {
+					if filt[s][i] != want.Filtered[i] || integ[s][i] != want.Integrated[i] {
+						t.Fatalf("kernels=%v cfg %v from %v stream %d sample %d: (%d,%d), fresh run (%d,%d)",
+							mode, step.cfg, step.start, s, i, filt[s][i], integ[s][i], want.Filtered[i], want.Integrated[i])
+					}
+				}
+			}
+		}
+		kernel.SetEnabled(prev)
+	}
+
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	donor, err := New(AccurateConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb := NewPipelineBatch(donor)
+	p, err := New(AccurateConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb.Run([]*Pipeline{p}, [][]int16{{1, 2, 3}})
+	p.Reset()
+	mustPanic("start at SQR", func() { pb.RunFrom(SQR, []*Pipeline{p}, [][]int16{{1, 2, 3}}) })
+	mustPanic("start at HPF over a new geometry", func() { pb.RunFrom(HPF, []*Pipeline{p}, [][]int16{{1, 2, 3, 4}}) })
+}
+
 // TestStreamDetectorDiscard checks that trimming consumed decisions
 // between pushes leaves the concatenated outputs identical to an
 // untrimmed detector, and that memory-bounding consumers see every

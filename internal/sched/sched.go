@@ -262,12 +262,16 @@ func (e *Evaluator[V]) scatter(n int, task func(int)) {
 	wg.Wait()
 }
 
-// pool returns the job channel, starting the workers on first use.
+// pool returns the job channel, starting the workers on first use. The
+// workers capture the channel alone, so an engine dropped without Close
+// leaves only its idle goroutines behind, never its cache or the
+// scratch its evaluation function holds.
 func (e *Evaluator[V]) pool() chan<- func() {
 	e.poolOnce.Do(func() {
+		jobs := e.jobs
 		for i := 0; i < e.workers; i++ {
 			go func() {
-				for job := range e.jobs {
+				for job := range jobs {
 					job()
 				}
 			}()

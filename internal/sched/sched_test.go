@@ -3,9 +3,11 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/xbiosip/xbiosip/internal/approx"
 	"github.com/xbiosip/xbiosip/internal/dsp"
@@ -416,5 +418,32 @@ func TestShardedScratchReuse(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("sharded evaluation allocates %.1f objects/run; scratch not reused", avg)
+	}
+}
+
+// TestDroppedEngineIsCollectable checks the pool's idle workers do not
+// keep an engine dropped without Close — and so its cache and whatever
+// its function captures — reachable.
+func TestDroppedEngineIsCollectable(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		e := New(2, quality)
+		cfgs := []pantompkins.Config{cfgK([pantompkins.NumStages]int{2}), cfgK([pantompkins.NumStages]int{4})}
+		if _, err := e.EvaluateBatch(cfgs); err != nil {
+			t.Fatal(err)
+		}
+		runtime.AddCleanup(e, func(done chan struct{}) { close(done) }, collected)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("engine with a started pool still reachable after it was dropped")
+		}
 	}
 }

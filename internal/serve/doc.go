@@ -168,5 +168,12 @@
 // PartialWrites add seeded transport chaos (mid-write connection tears,
 // fragmented TCP writes) for the TransportResilience experiment; the
 // retransmit buffer plus the session acceptance bitmap absorb the
-// resulting duplicates.
+// resulting duplicates. Every seeded tear first settles its connection
+// with a lockstep drain, so the server has handled each message written
+// on the old connection — and the client has read each reply — before
+// the torn one: no frame is lost to the teardown or overtaken by the
+// new connection. A chaos run's client and listener counters and its
+// event stream are therefore a function of the seed, unless an
+// unseeded failure (a read timeout, a refused dial) forces an extra
+// redial.
 package serve

@@ -278,9 +278,21 @@ func (c *netClient) deliver(frame []byte) error {
 // send transmits one data frame, applying the chaos knobs: a disconnect
 // draw tears the connection down first (mid-message when PartialWrites
 // makes that possible), redials and then sends on the fresh connection.
+//
+// Before the tear the old connection is settled with a lockstep drain:
+// its reply proves the server has handled every message written on that
+// connection (and sent every NACK for it), and leaves nothing unread on
+// the client, so the close is a clean FIN. Without it, whether frames
+// written just before the tear were ingested — before or after the new
+// connection's frames, or lost to a reset — depended on goroutine and
+// socket timing, and the listener's counters and the concealed signal
+// were not a function of the seed.
 func (c *netClient) send(frame []byte) error {
 	c.msg = appendWire(c.msg[:0], wireData, frame)
 	if c.cfg.Disconnect > 0 && c.chance(c.cfg.Disconnect) {
+		if _, err := c.drainSync(); err != nil {
+			return err
+		}
 		if c.cfg.PartialWrites && c.cfg.Network == "tcp" && len(c.msg) > 1 {
 			cut := 1 + int(splitmix64(&c.rng)%uint64(len(c.msg)-1))
 			c.conn.Write(c.msg[:cut]) // torn mid-message: the server must discard the partial
