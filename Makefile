@@ -9,9 +9,10 @@
 # transport (loopback TCP+UDP churn), the batch-vs-scalar equivalence
 # suites and the artifact store (crash-point sweep, child-process kill
 # harness, fault soak, store-vs-fresh bit identity), a fuzz smoke over
-# the wire-frame/socket-message parsers and the store codecs, a
-# fixed-seed chaos run of the socket transport harness, and a benchdiff
-# smoke run over the checked-in snapshot.
+# the wire-frame/socket-message parsers, the store codecs and the QRS
+# detector (reference vs both production feeders), a fixed-seed chaos
+# run of the socket transport harness, and a benchdiff smoke run over
+# the checked-in snapshot.
 
 GO ?= go
 
@@ -113,7 +114,11 @@ race-store:
 # parser, the socket-message decoder, the ingest path (never panic,
 # never corrupt the session pool) and the artifact-store blob/index/
 # payload codecs (never panic, never accept a non-canonical encoding —
-# no checksum false positives).
+# no checksum false positives), and a differential run of the QRS
+# detector's reference against both production feeders. The detector
+# target caps minimization: its inputs are long sample streams, and the
+# default 60 s minimization of each new corpus entry would spend the
+# whole smoke budget shrinking instead of fuzzing.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseFrame -fuzztime=5s -run '^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzParseWire -fuzztime=5s -run '^$$' ./internal/serve
@@ -121,6 +126,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzStoreBlob -fuzztime=5s -run '^$$' ./internal/store
 	$(GO) test -fuzz=FuzzStoreIndex -fuzztime=5s -run '^$$' ./internal/store
 	$(GO) test -fuzz=FuzzStoreCodec -fuzztime=5s -run '^$$' ./internal/store
+	$(GO) test -fuzz=FuzzDetect -fuzztime=5s -fuzzminimizetime=100x -run '^$$' ./internal/pantompkins
 
 # The kernel equivalence tests and the packages threaded through the
 # compiled kernels, re-run with XBIOSIP_NO_KERNELS so every plan delegates

@@ -230,6 +230,7 @@ func BenchmarkStoreColdWarm(b *testing.B) {
 		energy.AttachStore(st)
 		run(b, s)
 		s.Close()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			s, err := experiments.NewSetup(1, 6000)

@@ -24,9 +24,10 @@ type StreamRow struct {
 // pipeline instance sample by sample — the record-by-record workload of a
 // monitoring service. Detection runs incrementally alongside the stages
 // (pantompkins.Stream couples the pipeline with a StreamDetector whose
-// thresholds advance per sample), so the streaming path holds no record
-// buffers and never rescans a record; the resulting beats are
-// bit-identical to the batch evaluation's whole-record Detect.
+// thresholds advance per sample over a bounded sample window), so the
+// streaming path holds no record buffers; the resulting beats are
+// identical to the batch evaluation's whole-record detection, which runs
+// the same decision loop.
 func (s *Setup) Streaming(cfg pantompkins.Config) ([]StreamRow, error) {
 	p, err := pantompkins.New(cfg)
 	if err != nil {

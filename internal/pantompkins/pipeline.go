@@ -186,9 +186,9 @@ func (o *Outputs) Append(s StreamSample) {
 // the fully streaming form of Process. Each Push feeds one raw ADC sample
 // through the five stages and the new filtered/integrated samples into
 // the detector, which advances its thresholds and beat decisions in O(1)
-// — the streaming path never rescans a record. Finish returns the final
-// Detection, bit-identical to running the whole-record Detect over the
-// batch outputs.
+// amortised work over a bounded sample window. Finish returns the final
+// Detection, identical to Process's: both run the one decision loop, fed
+// sample by sample here and over the whole record there.
 type Stream struct {
 	p   *Pipeline
 	det *StreamDetector
@@ -220,7 +220,7 @@ func (s *Stream) Pipeline() *Pipeline { return s.p }
 
 // Restart clears the pipeline stages and the incremental detector in
 // place, beginning a fresh detection session on the same hardware without
-// allocating: the detector keeps its grown ring and event buffers. A
+// allocating: the detector keeps its sample window and event buffers. A
 // multiplexing service (internal/serve) reuses one Stream per session
 // slot across successive occupants this way; after Restart the stream
 // behaves exactly like a fresh Pipeline.Stream.

@@ -1,22 +1,21 @@
 package pantompkins
 
-// StreamDetector is the incremental form of the adaptive-threshold peak
-// detector: it maintains the Pan-Tompkins thresholds, RR statistics and
-// searchback state per pushed sample in O(1) amortised work and bounded
-// memory, instead of rescanning the whole record the way Detect does. Its
-// output — beat indices, MWI peaks and the full decision trace — is
-// bit-identical to running the whole-record Detect over the same two
-// signals (equivalence-tested across the bundled records and the Fig. 11
-// design sweep).
+// StreamDetector holds the adaptive-threshold decision loop — the only
+// detector implementation — together with its state: the Pan-Tompkins
+// thresholds, RR statistics and searchback candidates. It reads samples
+// from a linear window and has two feeders. Push appends one sample at a
+// time and advances the decisions in O(1) amortised work and bounded
+// memory; PeakDetector.Detect points the window at a whole record and
+// runs the same loop over it in one pass (see Detect for the algorithm).
 //
-// The detector lags the signal head by a bounded horizon: a candidate
-// peak at index i is decided once filtered samples up to i+alignAhead
-// exist (the filtered-peak search window is then final) — about 50 ms at
-// the pipeline's sampling rate — and the decisions of the first two
-// seconds are held until the threshold learning window completes, exactly
-// like the whole-record pass seeds its estimates from those samples.
-// Finish flushes the held tail with the end-of-record window clamping
-// Detect applies and returns the final Detection.
+// When pushed, the detector lags the signal head by a bounded horizon: a
+// candidate peak at index i is decided once filtered samples up to
+// i+alignAhead exist (the filtered-peak search window is then final) —
+// about 50 ms at the pipeline's sampling rate — and the decisions of the
+// first two seconds are held until the threshold learning window
+// completes, since the estimates are seeded from those samples. Finish
+// flushes the held tail with end-of-record window clamping and returns
+// the final Detection, equal to Detect over the same two signals.
 //
 // Degenerate inputs match Detect: a non-positive sampling rate or an
 // empty stream yields an empty Detection.
@@ -30,13 +29,18 @@ type StreamDetector struct {
 	slopeWin   int
 	learn      int
 
-	// Ring buffers over the recent filtered/integrated samples, indexed by
-	// absolute sample index modulo their length. Sized to cover the
-	// learning window plus the decision horizon, which dominates every
-	// lookback the decision logic performs.
+	// The sample window: fwin[j-base] and iwin[j-base] are filtered and
+	// integrated sample j, for base <= j < t. Pushed samples are appended
+	// into the detector's own fbuf/ibuf; when their windowSlack spare
+	// samples run out, the newest learn+alignAhead+4 samples — which cover
+	// every lookback an undecided candidate performs — move to the front.
+	// Whole-record detection points the window at the caller's slices
+	// with base 0 instead.
+	fwin, iwin []int64
+	base       int
 	fbuf, ibuf []int64
 
-	t      int  // samples pushed so far
+	t      int  // samples seen so far
 	cursor int  // next candidate index to examine
 	seeded bool // threshold learning completed
 	done   bool // Finish called
@@ -45,24 +49,33 @@ type StreamDetector struct {
 	maxI, sumI float64
 	maxF, sumF float64
 
-	// Running detector state, mirroring Detect's locals.
+	// Running detector state.
 	spki, npki float64
 	spkf, npkf float64
 	lastQRS    int
 	lastSlope  float64
 	rrMean     float64
-	rr         [8]int
+	rr         [8]int // ring of the last RR intervals
 	rrLen      int
 	rrPos      int
-	pending    []streamCand
+	pending    []candidate // rejected since the last QRS, for searchback
 
 	det Detection
 }
 
-// streamCand is a pending candidate with its decision-time context
-// precomputed (filtered peak, slope), so a later searchback acceptance
-// needs no access to samples that have left the ring.
-type streamCand struct {
+// windowSlack is how many samples Push appends between two compactions of
+// the window. Each compaction copies the retained learn+alignAhead+4
+// samples, so a larger slack compacts less often but holds more memory
+// per detector — one per live session in a serving gateway.
+const windowSlack = 64
+
+// candidate is a pending searchback candidate with its decision-time
+// context (filtered peak, slope), so a later searchback acceptance needs
+// no access to samples that have left the window. The slope is only
+// needed if the candidate is accepted, so it is computed lazily: a
+// negative slope means "not yet", and compact fills it in before the
+// samples it reads leave the window.
+type candidate struct {
 	idx   int
 	val   int64
 	fpos  int
@@ -80,12 +93,14 @@ func NewStreamDetector(fs int) *StreamDetector {
 }
 
 // Reset returns the detector to its initial state so a new record or
-// stream can start; ring buffers are kept.
+// stream can start; the window and event buffers are kept.
 func (d *StreamDetector) Reset() {
+	d.det.Peaks = d.det.Peaks[:0]
+	d.det.MWIPeaks = d.det.MWIPeaks[:0]
+	d.det.Events = d.det.Events[:0]
+	d.done = false
 	fs := d.fs
 	if fs <= 0 {
-		d.det = Detection{}
-		d.done = false
 		return
 	}
 	d.refractory = int(refractoryS * float64(fs))
@@ -94,21 +109,15 @@ func (d *StreamDetector) Reset() {
 	d.alignAhead = int(alignAheadS * float64(fs))
 	d.slopeWin = int(0.075 * float64(fs))
 	d.learn = int(learnS * float64(fs))
-	if n := d.learn + d.alignAhead + 4; len(d.fbuf) < n {
-		d.fbuf = make([]int64, n)
-		d.ibuf = make([]int64, n)
-	}
+	d.fwin, d.iwin, d.base = d.fbuf[:0], d.ibuf[:0], 0
 	d.t, d.cursor = 0, 1
-	d.seeded, d.done = false, false
+	d.seeded = false
 	d.maxI, d.sumI, d.maxF, d.sumF = 0, 0, 0, 0
 	d.lastQRS = -d.refractory - 1
 	d.lastSlope = 0
-	d.rrMean = float64(fs) * 0.8
+	d.rrMean = float64(fs) * 0.8 // prior: 75 bpm until measured
 	d.rrLen, d.rrPos = 0, 0
 	d.pending = d.pending[:0]
-	d.det.Peaks = d.det.Peaks[:0]
-	d.det.MWIPeaks = d.det.MWIPeaks[:0]
-	d.det.Events = d.det.Events[:0]
 }
 
 // Push feeds one sample of the filtered and integrated signals (the pair
@@ -122,42 +131,80 @@ func (d *StreamDetector) Push(filtered, integrated int64) {
 	if d.done {
 		panic("pantompkins: StreamDetector.Push after Finish (Reset first)")
 	}
-	r := len(d.fbuf)
-	d.fbuf[d.t%r] = filtered
-	d.ibuf[d.t%r] = integrated
+	if len(d.iwin) == cap(d.iwin) {
+		d.compact()
+	}
+	d.fwin = append(d.fwin, filtered)
+	d.iwin = append(d.iwin, integrated)
 	d.t++
 	if !d.seeded {
-		// Threshold learning: the whole-record pass seeds its four running
-		// estimates from the first learn samples before any decision.
-		if v := float64(integrated); v > d.maxI {
-			d.maxI = v
+		d.observe(filtered, integrated)
+		if d.t < d.learn {
+			return
 		}
-		d.sumI += float64(integrated)
-		if v := absf(filtered); v > d.maxF {
-			d.maxF = v
-		}
-		d.sumF += absf(filtered)
-		if d.t >= d.learn {
-			d.seed(d.learn)
-			d.advance(false)
-		}
-		return
+		d.seed(d.learn)
 	}
 	d.advance(false)
 }
 
-// Finish flushes every decision held for lookahead — applying the
-// end-of-record window clamping of the whole-record pass — and returns
-// the final Detection. The result aliases the detector's buffers and is
-// valid until the next Reset. Finish is idempotent.
+// compact makes room in the window for the next pushed sample: it keeps
+// the newest learn+alignAhead+4 samples, moving them to the front of the
+// buffers, and allocates the buffers on a detector's first Push. Pending
+// candidates get their slopes first, while the samples are still there.
+func (d *StreamDetector) compact() {
+	keep := d.learn + d.alignAhead + 4
+	for k := range d.pending {
+		if d.pending[k].slope < 0 {
+			d.pending[k].slope = d.slopeBefore(d.pending[k].idx)
+		}
+	}
+	if len(d.iwin) < keep {
+		d.fbuf = append(make([]int64, 0, keep+windowSlack), d.fwin...)
+		d.ibuf = append(make([]int64, 0, keep+windowSlack), d.iwin...)
+		d.fwin, d.iwin = d.fbuf, d.ibuf
+		return
+	}
+	drop := len(d.iwin) - keep
+	d.fwin = d.fwin[:copy(d.fwin, d.fwin[drop:])]
+	d.iwin = d.iwin[:copy(d.iwin, d.iwin[drop:])]
+	d.base += drop
+}
+
+// detectRecord is the whole-record feeder: it points the window at the
+// caller's slices (no copy), seeds the estimates from the first
+// min(learn, n) samples and makes every decision with end-of-record
+// clamping — what pushing every sample and calling Finish does, without
+// the lookahead bookkeeping. The window is detached again on return, so
+// the detector does not keep the record alive.
+func (d *StreamDetector) detectRecord(filtered, integrated []int64, fs int) *Detection {
+	d.fs = fs
+	d.Reset()
+	n := len(integrated)
+	if n == 0 || len(filtered) != n || fs <= 0 {
+		return &d.det
+	}
+	learn := min(d.learn, n)
+	for j := range learn {
+		d.observe(filtered[j], integrated[j])
+	}
+	d.seed(learn)
+	d.fwin, d.iwin, d.t = filtered, integrated, n
+	d.advance(true)
+	d.fwin, d.iwin = nil, nil
+	return &d.det
+}
+
+// Finish flushes every decision held for lookahead — applying
+// end-of-record window clamping — and returns the final Detection. The
+// result aliases the detector's buffers and is valid until the next
+// Reset. Finish is idempotent.
 func (d *StreamDetector) Finish() *Detection {
 	if d.fs <= 0 || d.done {
 		d.done = true
 		return &d.det
 	}
 	if d.t > 0 && !d.seeded {
-		// Stream shorter than the learning window: Detect learns from the
-		// whole record in that case.
+		// Stream shorter than the learning window: learn from all of it.
 		d.seed(d.t)
 	}
 	if d.seeded {
@@ -188,8 +235,20 @@ func (d *StreamDetector) Discard(events, peaks int) {
 	}
 }
 
+// observe folds one learning-window sample into the accumulators.
+func (d *StreamDetector) observe(filtered, integrated int64) {
+	if v := float64(integrated); v > d.maxI {
+		d.maxI = v
+	}
+	d.sumI += float64(integrated)
+	if v := absf(filtered); v > d.maxF {
+		d.maxF = v
+	}
+	d.sumF += absf(filtered)
+}
+
 // seed computes the initial signal/noise estimates from the learning
-// accumulators, exactly like the whole-record pass.
+// accumulators over the first learn samples.
 func (d *StreamDetector) seed(learn int) {
 	d.spki = 0.4 * d.maxI
 	d.npki = 0.5 * d.sumI / float64(learn)
@@ -198,42 +257,34 @@ func (d *StreamDetector) seed(learn int) {
 	d.seeded = true
 }
 
-// fAt / iAt read the ring buffers at an absolute sample index (which must
-// be within the live window).
-func (d *StreamDetector) fAt(j int) int64 { return d.fbuf[j%len(d.fbuf)] }
-func (d *StreamDetector) iAt(j int) int64 { return d.ibuf[j%len(d.ibuf)] }
-
 // advance examines candidates while their decision context is complete:
 // index i needs integrated[i+1] (the local-maximum test) and filtered up
 // to i+alignAhead (the peak search window); final mode clamps both to the
-// end of the record like the whole-record pass.
+// end of the record.
 func (d *StreamDetector) advance(final bool) {
 	n := d.t
-	for i := d.cursor; i <= n-2; i++ {
-		if !final && i+d.alignAhead > n-1 {
-			d.cursor = i
-			return
-		}
-		d.cursor = i + 1
-		if !(d.iAt(i-1) < d.iAt(i) && d.iAt(i) >= d.iAt(i+1)) {
+	last := n - 2
+	if !final {
+		last = min(last, n-1-d.alignAhead)
+	}
+	iw, base := d.iwin, d.base
+	for i := d.cursor; i <= last; i++ {
+		k := i - base
+		if !(iw[k-1] < iw[k] && iw[k] >= iw[k+1]) {
 			continue
 		}
-		v := d.iAt(i)
+		v := iw[k]
 		if i-d.lastQRS <= d.refractory {
 			continue
 		}
 
 		// Locate the matching filtered peak near the MWI peak.
-		hi := i + d.alignAhead
-		if hi > n-1 {
-			hi = n - 1
-		}
-		fpos, fval := d.peakNear(i-d.searchWin, hi)
-		slope := d.slopeBefore(i)
+		fpos, fval := d.peakNear(i-d.searchWin, min(i+d.alignAhead, n-1))
 
 		// T-wave discrimination inside 360 ms of the previous QRS.
+		slope := -1.0 // not computed yet; see candidate
 		if d.lastQRS >= 0 && i-d.lastQRS <= d.tWaveWin {
-			if slope < 0.5*d.lastSlope {
+			if slope = d.slopeBefore(i); slope < 0.5*d.lastSlope {
 				d.npki = 0.125*float64(v) + 0.875*d.npki
 				d.npkf = 0.125*fval + 0.875*d.npkf
 				d.det.Events = append(d.det.Events, Event{Kind: EventTWave, Index: i, Filtered: fpos, Value: v})
@@ -241,16 +292,18 @@ func (d *StreamDetector) advance(final bool) {
 			}
 		}
 
-		thrI := d.npki + 0.25*(d.spki-d.npki)
-		thrF := d.npkf + 0.25*(d.spkf-d.npkf)
-		if float64(v) > thrI && fval > thrF {
-			// Alignment cross-check (Fig 13), as in Detect.
+		c := candidate{i, v, fpos, fval, slope}
+		if float64(v) > d.thrI() && fval > d.thrF() {
+			// Alignment cross-check (Fig 13): the filtered peak must
+			// precede the MWI peak within the search window; a peak that
+			// trails it or sits at the window edge is a misclassified
+			// artefact and the beat is omitted.
 			if fpos > i || i-fpos >= d.searchWin {
 				d.det.Events = append(d.det.Events, Event{Kind: EventMisaligned, Index: i, Filtered: fpos, Value: v})
-				d.pending = append(d.pending, streamCand{i, v, fpos, fval, slope})
+				d.pending = append(d.pending, c)
 				continue
 			}
-			d.accept(streamCand{i, v, fpos, fval, slope}, 0.125, EventAccepted)
+			d.accept(c, 0.125, EventAccepted)
 			continue
 		}
 
@@ -258,15 +311,15 @@ func (d *StreamDetector) advance(final bool) {
 		d.npki = 0.125*float64(v) + 0.875*d.npki
 		d.npkf = 0.125*fval + 0.875*d.npkf
 		d.det.Events = append(d.det.Events, Event{Kind: EventNoise, Index: i, Filtered: fpos, Value: v})
-		d.pending = append(d.pending, streamCand{i, v, fpos, fval, slope})
+		d.pending = append(d.pending, c)
 
 		// Searchback for a missed beat. The lowered threshold reads the
-		// noise estimate just updated above, like the whole-record pass.
-		thrI = d.npki + 0.25*(d.spki-d.npki)
+		// noise estimate just updated above.
 		if d.lastQRS >= 0 && float64(i-d.lastQRS) > searchbackRR*d.rrMean {
+			thr := 0.5 * d.thrI()
 			bestIdx := -1
 			for pi, p := range d.pending {
-				if float64(p.val) > 0.5*thrI && p.fpos <= p.idx && p.idx-p.fpos < d.searchWin {
+				if float64(p.val) > thr && p.fpos <= p.idx && p.idx-p.fpos < d.searchWin {
 					if bestIdx < 0 || p.val > d.pending[bestIdx].val {
 						bestIdx = pi
 					}
@@ -277,16 +330,16 @@ func (d *StreamDetector) advance(final bool) {
 			}
 		}
 	}
-	d.cursor = n - 1
-	if d.cursor < 1 {
-		d.cursor = 1
-	}
+	d.cursor = max(d.cursor, last+1)
 }
 
-// accept records one detected QRS, mirroring Detect's accept closure; the
-// candidate carries its decision-time slope so old searchback candidates
-// need no ring access.
-func (d *StreamDetector) accept(c streamCand, weight float64, kind EventKind) {
+// thrI and thrF are the detection thresholds on the integrated and
+// filtered signals.
+func (d *StreamDetector) thrI() float64 { return d.npki + 0.25*(d.spki-d.npki) }
+func (d *StreamDetector) thrF() float64 { return d.npkf + 0.25*(d.spkf-d.npkf) }
+
+// accept records one detected QRS.
+func (d *StreamDetector) accept(c candidate, weight float64, kind EventKind) {
 	d.spki = weight*float64(c.val) + (1-weight)*d.spki
 	d.spkf = weight*c.fval + (1-weight)*d.spkf
 	if d.lastQRS >= 0 {
@@ -302,6 +355,9 @@ func (d *StreamDetector) accept(c streamCand, weight float64, kind EventKind) {
 		d.rrMean = float64(total) / float64(d.rrLen)
 	}
 	d.lastQRS = c.idx
+	if c.slope < 0 {
+		c.slope = d.slopeBefore(c.idx)
+	}
 	d.lastSlope = c.slope
 	raw := c.fpos - filterDelay
 	if raw < 0 {
@@ -314,31 +370,26 @@ func (d *StreamDetector) accept(c streamCand, weight float64, kind EventKind) {
 }
 
 // peakNear returns the position and absolute value of the largest
-// filtered sample in [lo, hi], with Detect's tie-breaking (first maximum
-// wins) and clamping.
+// filtered sample in [lo, hi] (lo clamped to 0); the first maximum wins.
 func (d *StreamDetector) peakNear(lo, hi int) (int, float64) {
-	if lo < 0 {
-		lo = 0
-	}
+	lo = max(lo, 0)
 	best, bestV := lo, -1.0
-	for j := lo; j <= hi; j++ {
-		if v := absf(d.fAt(j)); v > bestV {
-			best, bestV = j, v
+	for j, x := range d.fwin[lo-d.base : hi+1-d.base] {
+		if v := absf(x); v > bestV {
+			best, bestV = lo+j, v
 		}
 	}
 	return best, bestV
 }
 
 // slopeBefore returns the maximum rising slope of the integrated signal
-// in the 75 ms window before idx, like the whole-record pass.
+// in the 75 ms window before idx (the Pan-Tompkins T-wave discriminator).
 func (d *StreamDetector) slopeBefore(idx int) float64 {
-	lo := idx - d.slopeWin
-	if lo < 1 {
-		lo = 1
-	}
+	lo := max(idx-d.slopeWin, 1)
+	w := d.iwin[lo-1-d.base : idx+1-d.base]
 	maxS := 0.0
-	for j := lo; j <= idx; j++ {
-		if s := float64(d.iAt(j) - d.iAt(j-1)); s > maxS {
+	for j := 1; j < len(w); j++ {
+		if s := float64(w[j] - w[j-1]); s > maxS {
 			maxS = s
 		}
 	}

@@ -1,6 +1,7 @@
 package pantompkins
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/xbiosip/xbiosip/internal/approx"
@@ -17,24 +18,46 @@ func pushAll(d *StreamDetector, filtered, integrated []int64) *Detection {
 	return d.Finish()
 }
 
+// pushDiscarding streams both detector inputs like pushAll, but copies out
+// and Discards the decisions made so far after every every-th push, the
+// way a memory-bounding consumer does; it returns the concatenation of
+// everything emitted.
+func pushDiscarding(d *StreamDetector, filtered, integrated []int64, every int) *Detection {
+	var all Detection
+	drain := func(det *Detection) {
+		all.Peaks = append(all.Peaks, det.Peaks...)
+		all.MWIPeaks = append(all.MWIPeaks, det.MWIPeaks...)
+		all.Events = append(all.Events, det.Events...)
+		d.Discard(len(det.Events), len(det.Peaks))
+	}
+	for i := range integrated {
+		d.Push(filtered[i], integrated[i])
+		if i%every == 0 {
+			drain(d.Detection())
+		}
+	}
+	drain(d.Finish())
+	return &all
+}
+
 // requireSameDetection compares every field of two detections, including
 // the full event trace and its order.
 func requireSameDetection(t *testing.T, label string, want Detection, got *Detection) {
 	t.Helper()
 	if len(got.Peaks) != len(want.Peaks) || len(got.MWIPeaks) != len(want.MWIPeaks) || len(got.Events) != len(want.Events) {
-		t.Fatalf("%s: stream found %d/%d/%d peaks/MWI/events, Detect %d/%d/%d",
+		t.Fatalf("%s: found %d/%d/%d peaks/MWI/events, reference %d/%d/%d",
 			label, len(got.Peaks), len(got.MWIPeaks), len(got.Events),
 			len(want.Peaks), len(want.MWIPeaks), len(want.Events))
 	}
 	for i := range want.Peaks {
 		if got.Peaks[i] != want.Peaks[i] || got.MWIPeaks[i] != want.MWIPeaks[i] {
-			t.Fatalf("%s: peak %d = (%d,%d), Detect (%d,%d)", label, i,
+			t.Fatalf("%s: peak %d = (%d,%d), reference (%d,%d)", label, i,
 				got.Peaks[i], got.MWIPeaks[i], want.Peaks[i], want.MWIPeaks[i])
 		}
 	}
 	for i := range want.Events {
 		if got.Events[i] != want.Events[i] {
-			t.Fatalf("%s: event %d = %+v, Detect %+v", label, i, got.Events[i], want.Events[i])
+			t.Fatalf("%s: event %d = %+v, reference %+v", label, i, got.Events[i], want.Events[i])
 		}
 	}
 }
@@ -94,10 +117,11 @@ func fig11SweepConfigs() []Config {
 	return cfgs
 }
 
-// TestStreamDetectorMatchesDetectSweep proves the incremental detector
-// bit-identical to the whole-record Detect — peaks, MWI indices and the
-// complete event trace — on every bundled NSRDB record for the Fig. 11
-// sweep's configurations.
+// TestStreamDetectorMatchesDetectSweep proves both feeders of the
+// decision loop — whole-record PeakDetector.Detect and pushed
+// StreamDetector — identical to the reference detector (peaks, MWI
+// indices and the complete event trace) on every bundled NSRDB record
+// for the Fig. 11 sweep's configurations.
 func TestStreamDetectorMatchesDetectSweep(t *testing.T) {
 	configs := fig11SweepConfigs()
 	records := ecg.NumNSRDBRecords
@@ -123,10 +147,11 @@ func TestStreamDetectorMatchesDetectSweep(t *testing.T) {
 		var out Outputs
 		for _, rec := range recs {
 			p.RunInto(&out, rec.Samples)
-			want := pd.Detect(out.Filtered, out.Integrated, rec.FS)
+			label := cfg.String() + "/" + rec.Name
+			want := refDetect(out.Filtered, out.Integrated, rec.FS)
+			requireSameDetection(t, label+"/PeakDetector", want, pd.Detect(out.Filtered, out.Integrated, rec.FS))
 			sd.Reset()
-			got := pushAll(sd, out.Filtered, out.Integrated)
-			requireSameDetection(t, cfg.String()+"/"+rec.Name, *want, got)
+			requireSameDetection(t, label+"/StreamDetector", want, pushAll(sd, out.Filtered, out.Integrated))
 		}
 	}
 }
@@ -158,45 +183,67 @@ func TestStreamMatchesProcess(t *testing.T) {
 }
 
 // TestStreamDetectorDegenerateInputs pins the degenerate-input contract
-// both detectors share: empty input, a single sample, a stream shorter
-// than the learning window, fs = 0 and mismatched-length batch inputs all
-// yield the same (empty or short-record) detection from Detect,
-// PeakDetector.Detect and StreamDetector.
+// of the detector's two feeders — empty input, a single sample, a stream
+// shorter than the learning window, fs = 0 and mismatched-length batch
+// inputs — and the pushed window's compaction boundary: stream lengths
+// around the first compaction at 200 and 360 Hz, one that compacts
+// several times and one with Discard calls between pushes. Detect,
+// PeakDetector.Detect and StreamDetector must all equal the reference.
 func TestStreamDetectorDegenerateInputs(t *testing.T) {
 	short := make([]int64, 120) // shorter than the 2 s learning window
 	for i := range short {
 		short[i] = int64((i % 7) * 100)
 	}
-	cases := []struct {
+	type inputCase struct {
 		name                 string
 		filtered, integrated []int64
 		fs                   int
 		streamable           bool // expressible as a stream (equal lengths)
-	}{
-		{"nil-nil", nil, nil, 360, true},
-		{"empty", []int64{}, []int64{}, 360, true},
-		{"single-sample", []int64{42}, []int64{99}, 360, true},
-		{"two-samples", []int64{1, 2}, []int64{3, 4}, 360, true},
-		{"short-record", short, short, 360, true},
-		{"fs-zero", short, short, 0, true},
-		{"fs-negative", short, short, -5, true},
-		{"mismatched", short, short[:50], 360, false},
+		discardEvery         int  // > 0: Discard after every this many pushes
+	}
+	cases := []inputCase{
+		{"nil-nil", nil, nil, 360, true, 0},
+		{"empty", []int64{}, []int64{}, 360, true, 0},
+		{"single-sample", []int64{42}, []int64{99}, 360, true, 0},
+		{"two-samples", []int64{1, 2}, []int64{3, 4}, 360, true, 0},
+		{"short-record", short, short, 360, true, 0},
+		{"fs-zero", short, short, 0, true, 0},
+		{"fs-negative", short, short, -5, true, 0},
+		{"mismatched", short, short[:50], 360, false, 0},
+	}
+	p, err := New(AccurateConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := p.Run(testRecord(t, 4000).Samples)
+	for _, fs := range []int{200, 360} {
+		// The window keeps w samples and compacts when windowSlack more
+		// have been appended: the first compaction runs on push w+slack.
+		w := int(learnS*float64(fs)) + int(alignAheadS*float64(fs)) + 4
+		for _, n := range []int{w - 1, w, w + windowSlack - 1, w + windowSlack, w + windowSlack + 1, w + 5*windowSlack + 7} {
+			cases = append(cases, inputCase{fmt.Sprintf("fs%d-n%d", fs, n), out.Filtered[:n], out.Integrated[:n], fs, true, 0})
+		}
+		cases = append(cases, inputCase{fmt.Sprintf("fs%d-discard", fs), out.Filtered, out.Integrated, fs, true, 37})
 	}
 	var pd PeakDetector
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want := Detect(tc.filtered, tc.integrated, tc.fs)
-			reused := pd.Detect(tc.filtered, tc.integrated, tc.fs)
-			requireSameDetection(t, "PeakDetector", want, reused)
+			want := refDetect(tc.filtered, tc.integrated, tc.fs)
+			requireSameDetection(t, "Detect", want, ptr(Detect(tc.filtered, tc.integrated, tc.fs)))
+			requireSameDetection(t, "PeakDetector", want, pd.Detect(tc.filtered, tc.integrated, tc.fs))
 			if !tc.streamable {
 				// Mismatched lengths cannot arise on the streaming API;
-				// the batch detectors define them as an empty detection.
+				// whole-record detection defines them as empty.
 				if len(want.Peaks) != 0 || len(want.Events) != 0 {
-					t.Fatalf("mismatched-length Detect returned %d peaks, want empty", len(want.Peaks))
+					t.Fatalf("mismatched-length reference returned %d peaks, want empty", len(want.Peaks))
 				}
 				return
 			}
 			sd := NewStreamDetector(tc.fs)
+			if tc.discardEvery > 0 {
+				requireSameDetection(t, "StreamDetector/Discard", want, pushDiscarding(sd, tc.filtered, tc.integrated, tc.discardEvery))
+				return
+			}
 			got := pushAll(sd, tc.filtered, tc.integrated)
 			requireSameDetection(t, "StreamDetector", want, got)
 			// Finish is idempotent and Reset restarts cleanly.
@@ -206,6 +253,9 @@ func TestStreamDetectorDegenerateInputs(t *testing.T) {
 		})
 	}
 }
+
+// ptr returns a pointer to a copy of v.
+func ptr[T any](v T) *T { return &v }
 
 // TestStreamDetectorLiveView checks the partial Detection view never
 // reports a beat the whole-record pass would not: every prefix of the
@@ -217,7 +267,7 @@ func TestStreamDetectorLiveView(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := p.Run(rec.Samples)
-	want := Detect(out.Filtered, out.Integrated, rec.FS)
+	want := refDetect(out.Filtered, out.Integrated, rec.FS)
 
 	sd := NewStreamDetector(rec.FS)
 	seen := 0
