@@ -6,13 +6,13 @@
 # activity simulator), benchmark smoke passes in both modes, focused
 # -race passes over the two global caches' concurrent cold builds, the
 # multi-patient streaming service, the sharded gateway, the real-socket
-# transport (loopback TCP+UDP churn), the batch-vs-scalar equivalence
+# transport (loopback TCP+UDP churn), the batch-vs-reference equivalence
 # suites and the artifact store (crash-point sweep, child-process kill
 # harness, fault soak, store-vs-fresh bit identity), a fuzz smoke over
 # the wire-frame/socket-message parsers, the store codecs and the QRS
 # detector (reference vs both production feeders), a fixed-seed chaos
-# run of the socket transport harness, and a benchdiff smoke run over
-# the checked-in snapshot.
+# run of the socket transport harness (run twice, outputs compared byte
+# for byte), and a benchdiff smoke run over the checked-in snapshot.
 
 GO ?= go
 
@@ -26,7 +26,7 @@ BENCH_SNAPSHOT = BENCH_10.json
 BENCH_BASELINE = BENCH_9.json
 # Benchmarks that must exist in the current snapshot (catches a pattern
 # or harness regression silently dropping the new energy benchmarks).
-BENCH_REQUIRE = EnergyCharacterization/cold|Table2PreprocessingGrid/scratch|Activity/lanes|Serve/sessions|Serve/sessions-scalar|Serve/latency|Gateway/shards=1|Gateway/shards=4|Transport/inproc|Transport/tcp|Transport/udp|BatchChain/ama5-k16/batch64|BatchChain/ama5-k16/scalar|StoreColdWarm/fromzero|StoreColdWarm/warmstore
+BENCH_REQUIRE = EnergyCharacterization/cold|Table2PreprocessingGrid/scratch|Activity/lanes|Serve/sessions|Serve/latency|Gateway/shards=1|Gateway/shards=4|Transport/inproc|Transport/tcp|Transport/udp|BatchChain/ama5-k16/batch64|BatchChain/ama5-k16/scalar|StoreColdWarm/fromzero|StoreColdWarm/warmstore
 
 .PHONY: all build vet test test-repeat race race-arith race-energy race-serve race-gateway race-net race-batch race-store fuzz-smoke net-smoke test-reference bench bench-reference bench-json bench-diff bench-diff-smoke ci
 
@@ -84,17 +84,23 @@ race-net:
 
 # Fixed-seed chaos smoke of the socket harness through the CLI: identity
 # gate on both networks plus the loss x policy sweep with disconnects
-# and partial writes over a real loopback socket.
+# and partial writes over a real loopback socket, run twice and compared
+# byte for byte (a chaos run is a function of its seed).
 net-smoke:
-	$(GO) run ./cmd/xbiosip -samples 6000 -seed 3 transport > /dev/null
-	$(GO) run ./cmd/xbiosip -samples 6000 -net udp -sessions 4 serve > /dev/null
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && set -ex && \
+	$(GO) build -o "$$d/xbiosip" ./cmd/xbiosip && \
+	"$$d/xbiosip" -samples 6000 -seed 3 transport > "$$d/transport.1" && \
+	"$$d/xbiosip" -samples 6000 -seed 3 transport > "$$d/transport.2" && \
+	cmp "$$d/transport.1" "$$d/transport.2" && \
+	"$$d/xbiosip" -samples 6000 -net udp -sessions 4 serve > /dev/null
 
 # The batch-evaluation equivalence suites across every layer that grew a
 # batched path — kernel BatchChain, dsp block hooks, PipelineBatch
-# (including its start-at-stage entry), the batched serve drain and the
-# netlist stream simulator — under -race, with the per-sample/scalar
-# paths as in-process oracles; plus the evaluator's stage-reuse
-# exactness, warm-allocation and pool-shutdown tests.
+# (including its start-at-stage entry), the batched serve drain (against
+# per-session Pipeline.Stream) and the netlist stream simulator — under
+# -race, with the per-sample/scalar paths as in-process oracles; plus
+# the evaluator's stage-reuse exactness, warm-allocation and
+# pool-shutdown tests.
 race-batch:
 	$(GO) test -race -count=1 -run 'Batch|Streams|Discard' ./internal/arith/kernel ./internal/dsp ./internal/pantompkins ./internal/serve ./internal/netlist
 	$(GO) test -race -count=1 -run 'StageReuse|WarmShard|CloseStops' ./internal/core

@@ -546,14 +546,13 @@ func BenchmarkServe(b *testing.B) {
 	}
 
 	const frameN = 24
-	run := func(b *testing.B, sessions int, track, noBatch bool) []int64 {
+	run := func(b *testing.B, sessions int, track bool) []int64 {
 		svc, err := serve.New(serve.Config{
 			FS:            360,
 			Pipeline:      b9,
 			MaxSessions:   sessions,
 			BufferSamples: 4 * frameN,
 			TrackLatency:  track,
-			NoBatch:       noBatch,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -610,15 +609,10 @@ func BenchmarkServe(b *testing.B) {
 	}
 
 	b.Run("sessions", func(b *testing.B) {
-		run(b, 4096, false, false)
-	})
-	b.Run("sessions-scalar", func(b *testing.B) {
-		// The per-sample oracle drain over the identical workload: the
-		// sessions/core gap against "sessions" is the batched-drain win.
-		run(b, 4096, false, true)
+		run(b, 4096, false)
 	})
 	b.Run("latency", func(b *testing.B) {
-		lats := run(b, 256, true, false)
+		lats := run(b, 256, true)
 		if len(lats) == 0 {
 			return
 		}

@@ -45,7 +45,6 @@ func main() {
 	burst := flag.Float64("burst", 0, "injected burst-dropout entry probability for serve/delivery")
 	seed := flag.Uint64("seed", 1, "fault-injection seed; serve/delivery runs are reproducible from it")
 	policy := flag.String("policy", "hold", "gap-concealment policy for serve under faults (drop|hold|zero|restart)")
-	noBatch := flag.Bool("nobatch", false, "drain serve sessions one sample at a time (scalar oracle) instead of lane-packed batch rounds")
 	netw := flag.String("net", "", "run serve/transport over a real socket: tcp or udp (empty = in-process transport)")
 	addr := flag.String("addr", "", "listen address for -net (default loopback with an ephemeral port)")
 	verbose := flag.Bool("v", false, "report kernel working-set statistics (per-design table footprint, global table cache)")
@@ -69,7 +68,7 @@ func main() {
 	}
 	if err := run(flag.Arg(0), *records, *samples, *psnr, *accuracy, *workers, *shards, *verbose, experiments.ServeOpts{
 		Sessions: *sessions, Shards: *gwShards, Loss: *loss, Burst: *burst, Seed: *seed, Policy: pol,
-		NoBatch: *noBatch, Net: *netw, Addr: *addr,
+		Net: *netw, Addr: *addr,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "xbiosip:", err)
 		os.Exit(1)

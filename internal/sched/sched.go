@@ -204,17 +204,34 @@ func NewShardedRange[V, P any](workers, items, shards int, rng RangeFunc[P], red
 		shards = items
 	}
 	ranges := Split(items, shards)
-	scratch := sync.Pool{New: func() any {
+	// A mutex-guarded free list rather than a sync.Pool: a pool may drop
+	// what is put back (at every GC, and at random under the race
+	// detector), which would reallocate scratch per design.
+	var mu sync.Mutex
+	var free []*shardScratch[P]
+	get := func() *shardScratch[P] {
+		mu.Lock()
+		defer mu.Unlock()
+		if n := len(free); n > 0 {
+			sc := free[n-1]
+			free = free[:n-1]
+			return sc
+		}
 		sc := &shardScratch[P]{parts: make([]P, items), errs: make([]error, len(ranges))}
 		sc.run = func(s int) {
 			r := ranges[s]
 			sc.errs[s] = rng(sc.cfg, r.Lo, r.Hi, sc.parts[r.Lo:r.Hi])
 		}
 		return sc
-	}}
+	}
+	put := func(sc *shardScratch[P]) {
+		mu.Lock()
+		free = append(free, sc)
+		mu.Unlock()
+	}
 	e.fn = func(cfg pantompkins.Config) (V, error) {
-		sc := scratch.Get().(*shardScratch[P])
-		defer scratch.Put(sc)
+		sc := get()
+		defer put(sc)
 		sc.cfg = cfg
 		for s := range sc.errs {
 			sc.errs[s] = nil

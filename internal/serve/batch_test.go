@@ -7,14 +7,19 @@ import (
 	"github.com/xbiosip/xbiosip/internal/pantompkins"
 )
 
-// TestServeBatchedMatchesScalarDrain runs two services — the default
-// batched drain and the Config.NoBatch per-sample oracle — through an
-// identical schedule of frames and drains: many concurrent sessions of
+// TestServeBatchedMatchesScalarDrain drives the batched drain through a
+// churning schedule of frames and drains — many concurrent sessions of
 // different lengths (batch membership churns as they finish), irregular
 // frame sizes, a quantum forcing multi-round drains with ring
-// wraparound, and a mid-record FlagStart reconnect. The two event
-// streams must be identical element for element. The oracle-mode
-// variant repeats a smaller schedule with the kernels disabled.
+// wraparound, a drain stall forcing backpressure retries, and a
+// mid-record FlagStart reconnect — and requires every session's event
+// trace to equal the scalar reference: an independent per-session
+// Pipeline.Stream fed the same samples one at a time. The reconnect
+// restarts the reference: the trace before it must equal the reference
+// events over the samples the service drained before the restart, the
+// trace after it a fresh reference over the rest of the record. The
+// oracle-mode variant repeats a smaller schedule with the kernels
+// disabled.
 func TestServeBatchedMatchesScalarDrain(t *testing.T) {
 	type variant struct {
 		name     string
@@ -34,59 +39,39 @@ func TestServeBatchedMatchesScalarDrain(t *testing.T) {
 			prev := kernel.SetEnabled(v.kernels)
 			defer kernel.SetEnabled(prev)
 			rec := record(t, 0, v.samples+v.sessions*40)
-			mk := func(noBatch bool) *Service {
-				s, err := New(Config{
-					FS:          rec.FS,
-					Pipeline:    v.cfg,
-					MaxSessions: v.sessions,
-					// Small ring + quantum: drains span several rounds
-					// and the ring wraps mid-record.
-					BufferSamples: 96,
-					Quantum:       40,
-					NoBatch:       noBatch,
-				})
+			s, err := New(Config{
+				FS:          rec.FS,
+				Pipeline:    v.cfg,
+				MaxSessions: v.sessions,
+				// Small ring + quantum: drains span several rounds and
+				// the ring wraps mid-record.
+				BufferSamples: 96,
+				Quantum:       40,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			traces := make(map[uint32]*sessionTrace)
+			var events []Event
+			drain := func() {
+				events = s.Drain(events[:0])
+				collectTraces(traces, events)
+			}
+			ingest := func(buf []byte) {
+				_, err := s.Ingest(buf)
+				if err == ErrBackpressure {
+					drain()
+					_, err = s.Ingest(buf)
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				return s
 			}
-			batched, scalar := mk(false), mk(true)
-			var evA, evB []Event
-			drainBoth := func() {
-				evA = batched.Drain(evA[:0])
-				evB = scalar.Drain(evB[:0])
-				if len(evA) != len(evB) {
-					t.Fatalf("batched drain emitted %d events, scalar %d", len(evA), len(evB))
-				}
-				for i := range evA {
-					if evA[i] != evB[i] {
-						t.Fatalf("event %d: batched %+v, scalar %+v", i, evA[i], evB[i])
-					}
-				}
-			}
-			ingestBoth := func(buf []byte) {
-				_, errA := batched.Ingest(buf)
-				_, errB := scalar.Ingest(buf)
-				if errA != errB {
-					t.Fatalf("ingest: batched err %v, scalar err %v", errA, errB)
-				}
-				if errA == ErrBackpressure {
-					drainBoth()
-					if _, err := batched.Ingest(buf); err != nil {
-						t.Fatal(err)
-					}
-					if _, err := scalar.Ingest(buf); err != nil {
-						t.Fatal(err)
-					}
-				} else if errA != nil {
-					t.Fatal(errA)
-				}
-			}
-			// Sessions of staggered lengths; session 3 reconnects in
-			// place halfway through.
+			// Sessions of staggered lengths; session 4 (cursor 3)
+			// reconnects in place halfway through.
 			type cursor struct {
-				pos, end int
-				seq      uint16
+				start, pos, end int
+				seq             uint16
 			}
 			curs := make([]cursor, v.sessions)
 			for i := range curs {
@@ -95,6 +80,8 @@ func TestServeBatchedMatchesScalarDrain(t *testing.T) {
 					curs[i].end = 200
 				}
 			}
+			var preRestart sessionTrace
+			var preWant pantompkins.Detection
 			reconnected := false
 			active := v.sessions
 			for round := 0; active > 0; round++ {
@@ -112,34 +99,81 @@ func TestServeBatchedMatchesScalarDrain(t *testing.T) {
 						flags |= FlagStart
 					}
 					if id == 3 && !reconnected && c.pos > c.end/2 {
+						// The restart discards the session's backlog:
+						// its detector saw only the drained samples.
+						backlog, ok := s.Backlog(uint32(id + 1))
+						if !ok {
+							t.Fatal("session 4 not live before its reconnect")
+						}
+						preWant = refPrefix(t, v.cfg, rec.FS, rec.Samples[:c.pos-backlog])
+						if tr := traces[uint32(id+1)]; tr != nil {
+							preRestart = *tr
+							*tr = sessionTrace{}
+						}
 						flags |= FlagStart
+						c.start = c.pos
 						reconnected = true
 					}
 					if c.pos+n == c.end {
 						flags |= FlagEnd
 					}
-					frame := AppendFrame(nil, uint32(id+1), c.seq, flags, rec.Samples[c.pos:c.pos+n])
-					ingestBoth(frame)
+					ingest(AppendFrame(nil, uint32(id+1), c.seq, flags, rec.Samples[c.pos:c.pos+n]))
 					c.seq++
 					c.pos += n
 					if c.pos >= c.end {
 						active--
 					}
 				}
-				if round%2 == 0 {
-					drainBoth()
+				// Drain every other round, except for a stalled
+				// consumer over rounds 20-29: the rings fill and ingest
+				// retries after a backpressure drain.
+				if round%2 == 0 && (round < 20 || round >= 30) {
+					drain()
 				}
 			}
 			for i := 0; i < 4; i++ { // flush quantum-limited backlogs
-				drainBoth()
+				drain()
 			}
-			if a, b := batched.Sessions(), scalar.Sessions(); a != 0 || b != 0 {
-				t.Fatalf("sessions still live after final drains: batched %d, scalar %d", a, b)
+			if !reconnected {
+				t.Fatal("schedule never reconnected session 4")
 			}
-			if a, b := batched.Stats(), scalar.Stats(); a != b {
-				t.Fatalf("stats diverged: batched %+v, scalar %+v", a, b)
+			if n := s.Sessions(); n != 0 {
+				t.Fatalf("%d sessions still live after final drains", n)
+			}
+			checkIdentical(t, 4, &preRestart, preWant)
+			for id, c := range curs {
+				session := uint32(id + 1)
+				tr := traces[session]
+				if tr == nil || !tr.finished {
+					t.Fatalf("session %d did not finish", session)
+				}
+				checkIdentical(t, session, tr, refDetection(t, v.cfg, rec.FS, rec.Samples[c.start:c.end]))
+			}
+			st := s.Stats()
+			if st.Finishes != uint64(v.sessions) || st.Reconnects != 1 || st.Backpressure == 0 {
+				t.Fatalf("stats: %d finishes, %d reconnects, %d backpressure", st.Finishes, st.Reconnects, st.Backpressure)
 			}
 		})
+	}
+}
+
+// refPrefix is the reference Pipeline.Stream's unfinished detection
+// after pushing samples: the events a live session has emitted once
+// exactly those samples have drained.
+func refPrefix(t testing.TB, cfg pantompkins.Config, fs int, samples []int16) pantompkins.Detection {
+	t.Helper()
+	p, err := pantompkins.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := p.Stream(fs)
+	for _, x := range samples {
+		st.Push(x)
+	}
+	det := st.Detector().Detection()
+	return pantompkins.Detection{
+		Peaks:  append([]int(nil), det.Peaks...),
+		Events: append([]pantompkins.Event(nil), det.Events...),
 	}
 }
 

@@ -14,9 +14,9 @@
 //     and the retry-with-backoff delivery loop, all wall-clock-free.
 //   - Listener + RunNet — the same two roles over real TCP/UDP sockets:
 //     Listener accepts wire-framed connections into any Sink, RunNet is
-//     Run's workload driven through a Dial-ed connection. FaultLink is
-//     the in-process test double of this wire: fault-free, the socket
-//     path must emit the bit-identical event stream (the
+//     Run over a socket Sink that forwards to a Dial-ed connection.
+//     FaultLink is the in-process test double of this wire: fault-free,
+//     the socket path must emit the bit-identical event stream (the
 //     TransportResilience identity gate), so everything proven about
 //     links, gaps and policies transfers to the real transport.
 //
@@ -36,10 +36,9 @@
 // 8-byte header — session id, wrapping sequence number, sample count,
 // flags — followed by up to MaxFrameSamples little-endian int16 samples,
 // packed back-to-back per ingest buffer. SplitFrames chunks an arbitrary
-// sample slice into such frames (SplitFramesN with a validated per-frame
-// size). Unknown sessions connect implicitly; FlagStart restarts a live
-// session in place (reconnect); FlagEnd finishes it once its buffer
-// drains.
+// sample slice into such frames. Unknown sessions connect implicitly;
+// FlagStart restarts a live session in place (reconnect); FlagEnd
+// finishes it once its buffer drains.
 //
 // On a socket, each frame travels inside a wire envelope (see
 // netwire.go): a little-endian uint16 length, a message type byte, and
@@ -110,14 +109,13 @@
 // lane-packed across up to 64 sessions per kernel call, while each
 // session's filter delay lines, integrator windows and detector remain
 // its own. Sessions join and leave batch rounds freely as they connect,
-// finish or run dry; the per-sample detector feed, event order and
-// latency attribution are unchanged, so the drained event stream is
-// bit-identical to the per-sample path. Config.NoBatch selects that
-// per-sample path explicitly — it is the equivalence oracle the batched
-// drain is tested against. Either way, Drain trims each session's
-// already-emitted detection history (StreamDetector.Discard), so an
-// endless session's retained trace stays bounded by the drain cadence
-// instead of growing with the stream.
+// finish or run dry; the detector feed, event collection and latency
+// attribution stay per-sample, so each session's drained events are
+// bit-identical to pantompkins.Pipeline.Stream over the same samples —
+// the independent per-session reference the batched drain is tested
+// against. Drain trims each session's already-emitted detection history
+// (StreamDetector.Discard), so an endless session's retained trace stays
+// bounded by the drain cadence instead of growing with the stream.
 //
 // # Sharded gateway
 //
@@ -159,12 +157,13 @@
 // every handler goroutine to exit — tests assert zero goroutine and
 // socket leaks afterwards.
 //
-// RunNet is the client: Run's exact framing and drain-cadence over a
-// dialed connection, in lockstep — one frame per source per round, then
-// a drain request the server answers with its buffered count — so under
-// fault-free delivery the server observes the identical ingest/drain
-// schedule as the in-process loop, which is what makes the socket and
-// FaultLink interchangeable as test doubles. NetConfig.Disconnect and
+// RunNet is the client: Run itself, over a socket Sink. Its Ingest sends
+// the frame on a dialed connection and its Drain is one lockstep round
+// trip — a drain request the server answers with its buffered count —
+// so under fault-free delivery the server observes the identical
+// ingest/drain schedule as the in-process loop by construction, which is
+// what makes the socket and FaultLink interchangeable as test doubles.
+// A socket error met inside Drain is latched and stops the next Ingest. NetConfig.Disconnect and
 // PartialWrites add seeded transport chaos (mid-write connection tears,
 // fragmented TCP writes) for the TransportResilience experiment; the
 // retransmit buffer plus the session acceptance bitmap absorb the

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 
 	"github.com/xbiosip/xbiosip/internal/pantompkins"
@@ -65,52 +64,6 @@ func TestSplitFrames(t *testing.T) {
 	}
 	if hdr.count != 0 || hdr.flags != FlagEnd || next != 8 {
 		t.Fatalf("control frame: count=%d flags=%b next=%d", hdr.count, hdr.flags, next)
-	}
-}
-
-// TestSplitFramesN covers the explicit-size splitter: a frame size
-// outside (0, MaxFrameSamples] is rejected with ErrFrameSize leaving dst
-// and seq untouched, and a legal custom size chunks accordingly.
-func TestSplitFramesN(t *testing.T) {
-	samples := make([]int16, 100)
-	for i := range samples {
-		samples[i] = int16(i)
-	}
-	for _, bad := range []int{0, -1, MaxFrameSamples + 1, 1 << 20} {
-		dst := []byte{0xAA}
-		out, seq, err := SplitFramesN(dst, 1, 5, FlagStart, samples, bad)
-		if !errors.Is(err, ErrFrameSize) {
-			t.Fatalf("frameSamples=%d: err = %v, want ErrFrameSize", bad, err)
-		}
-		if len(out) != 1 || out[0] != 0xAA || seq != 5 {
-			t.Fatalf("frameSamples=%d: rejected call mutated dst/seq", bad)
-		}
-	}
-	buf, next, err := SplitFramesN(nil, 1, 0, FlagStart|FlagEnd, samples, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next != 3 {
-		t.Fatalf("next seq = %d, want 3", next)
-	}
-	counts := []int{40, 40, 20}
-	for i := 0; len(buf) > 0; i++ {
-		hdr, _, n, err := parseFrame(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hdr.count != counts[i] {
-			t.Fatalf("frame %d count = %d, want %d", i, hdr.count, counts[i])
-		}
-		buf = buf[n:]
-	}
-	// And zero samples still encode one control frame.
-	buf, next, err = SplitFramesN(nil, 2, 9, FlagEnd, nil, 16)
-	if err != nil || next != 10 {
-		t.Fatalf("control frame: next=%d err=%v", next, err)
-	}
-	if hdr, _, n, _ := parseFrame(buf); hdr.count != 0 || n != len(buf) {
-		t.Fatal("control frame misencoded")
 	}
 }
 

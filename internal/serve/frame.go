@@ -43,9 +43,9 @@ var (
 	// ErrBackpressure reports a frame rejected because the session's
 	// bounded buffer cannot hold it; the caller should Drain and retry.
 	ErrBackpressure = errors.New("serve: session buffer full")
-	// ErrFrameSize reports a requested frame size outside
-	// (0, MaxFrameSamples] — zero/negative frames would loop forever and
-	// oversize frames cannot be encoded in a single packet.
+	// ErrFrameSize reports a transport FrameSamples beyond
+	// MaxFrameSamples: such frames cannot be encoded in a single packet
+	// (zero or negative selects the default size).
 	ErrFrameSize = errors.New("serve: frame size outside (0, MaxFrameSamples]")
 	// ErrServerClosing reports a socket server that announced shutdown
 	// (wire bye) while a client run was still in flight.
@@ -82,24 +82,11 @@ func AppendFrame(dst []byte, session uint32, seq uint16, flags uint8, samples []
 //
 //	buf, seq = serve.SplitFrames(buf[:0], id, seq, flags, chunk)
 func SplitFrames(dst []byte, session uint32, seq uint16, flags uint8, samples []int16) ([]byte, uint16) {
-	dst, seq, _ = SplitFramesN(dst, session, seq, flags, samples, MaxFrameSamples)
-	return dst, seq
-}
-
-// SplitFramesN is SplitFrames with an explicit frame size: samples are
-// split into frames of at most frameSamples each. A frameSamples outside
-// (0, MaxFrameSamples] is rejected with ErrFrameSize and dst is returned
-// unchanged — no caller discipline required for a size that would
-// otherwise loop forever (≤0) or panic the encoder (>MaxFrameSamples).
-func SplitFramesN(dst []byte, session uint32, seq uint16, flags uint8, samples []int16, frameSamples int) ([]byte, uint16, error) {
-	if frameSamples <= 0 || frameSamples > MaxFrameSamples {
-		return dst, seq, fmt.Errorf("serve: %d samples per frame: %w", frameSamples, ErrFrameSize)
-	}
 	first := true
 	for {
 		n := len(samples)
-		if n > frameSamples {
-			n = frameSamples
+		if n > MaxFrameSamples {
+			n = MaxFrameSamples
 		}
 		f := flags
 		if !first {
@@ -113,7 +100,7 @@ func SplitFramesN(dst []byte, session uint32, seq uint16, flags uint8, samples [
 		samples = samples[n:]
 		first = false
 		if len(samples) == 0 {
-			return dst, seq, nil
+			return dst, seq
 		}
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"runtime"
@@ -525,5 +526,106 @@ func TestRunNetFrameSizeError(t *testing.T) {
 	_, err := RunNet(NetConfig{FrameSamples: MaxFrameSamples + 1, Addr: "127.0.0.1:1"}, nil)
 	if !errors.Is(err, ErrFrameSize) {
 		t.Fatalf("err = %v, want ErrFrameSize", err)
+	}
+}
+
+// TestRunNetServerBye: a server that answers the first drain request
+// with a bye makes RunNet return ErrServerClosing, and the client sends
+// no data frame after the bye. Sink.Drain cannot return the error, so
+// the client latches it: mid-stream the next Ingest stops the run, and
+// when the first round was also the last, RunNet reports it after Run.
+func TestRunNetServerBye(t *testing.T) {
+	rec := record(t, 0, 5*24)
+	for _, tc := range []struct {
+		name    string
+		samples []int16
+	}{
+		{"mid-stream", rec.Samples},
+		{"last-round", rec.Samples[:24]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			leaks := leakBaseline(t)
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			// A hand-rolled wire server: count data frames before and
+			// after the bye, and drain requests, until the client hangs up.
+			type tally struct {
+				before, after, drains int
+				err                   error
+			}
+			done := make(chan tally, 1)
+			go func() {
+				var r tally
+				defer func() { done <- r }()
+				conn, err := l.Accept()
+				if err != nil {
+					r.err = err
+					return
+				}
+				defer conn.Close()
+				conn.SetDeadline(time.Now().Add(5 * time.Second))
+				var acc []byte
+				tmp := make([]byte, 4096)
+				bye := false
+				for {
+					typ, _, n, perr := parseWire(acc)
+					if perr == ErrTruncated {
+						m, err := conn.Read(tmp)
+						acc = append(acc, tmp[:m]...)
+						if err == io.EOF {
+							return
+						}
+						if err != nil {
+							r.err = err
+							return
+						}
+						continue
+					}
+					if perr != nil {
+						r.err = perr
+						return
+					}
+					acc = acc[n:]
+					switch typ {
+					case wireData:
+						if bye {
+							r.after++
+						} else {
+							r.before++
+						}
+					case wireDrainReq:
+						r.drains++
+						if !bye {
+							if _, err := conn.Write(appendWire(nil, wireBye, nil)); err != nil {
+								r.err = err
+								return
+							}
+							bye = true
+						}
+					}
+				}
+			}()
+			sources := []Source{{Session: 1, Samples: tc.samples}, {Session: 2, Samples: tc.samples}}
+			st, err := RunNet(NetConfig{Addr: l.Addr().String(), FrameSamples: 24}, sources)
+			if !errors.Is(err, ErrServerClosing) {
+				t.Fatalf("RunNet err = %v, want ErrServerClosing", err)
+			}
+			r := <-done
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			if r.before != 2 || r.after != 0 || r.drains != 1 {
+				t.Fatalf("server saw %d data frames before the bye, %d after, %d drain requests; want 2, 0, 1",
+					r.before, r.after, r.drains)
+			}
+			if st.DrainCalls != 0 {
+				t.Fatalf("client counted %d completed drains, want 0", st.DrainCalls)
+			}
+			l.Close()
+			leaks()
+		})
 	}
 }

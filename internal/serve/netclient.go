@@ -6,17 +6,17 @@ import (
 	"time"
 )
 
-// RunNet is the socket twin of Run: the same round-robin framing loop,
-// the same sources, but delivery crosses a real TCP or UDP connection to
-// a Listener instead of calling Sink.Ingest directly. The round
-// structure is preserved exactly — one frame per live source, then one
-// lockstep drain request — so under fault-free delivery the server's
-// ingest/drain schedule, and therefore its event stream, is bit-identical
-// to the in-process transport. On top of that it carries the robustness
-// the wire demands: NACKed frames are retransmitted under exponential
-// backoff with seeded jitter, dead connections are redialed, and seeded
-// chaos (mid-stream disconnects, partial writes) can be injected to
-// prove the server side survives.
+// RunNet is Run over a socket Sink: netClient implements Sink by
+// sending each ingested frame over a real TCP or UDP connection to a
+// Listener and answering each Drain with one lockstep drain round trip,
+// so RunNet inherits Run's round-robin framing, link pushes, flushes and
+// quiesce loop instead of repeating them. Under fault-free delivery the
+// server's ingest/drain schedule, and therefore its event stream, is
+// bit-identical to the in-process transport by construction. On top of
+// that the client carries the robustness the wire demands: NACKed frames
+// are retransmitted under exponential backoff with seeded jitter, dead
+// connections are redialed, and seeded chaos (mid-stream disconnects,
+// partial writes) can be injected to prove the server side survives.
 
 // NetConfig parameterises a RunNet client.
 type NetConfig struct {
@@ -82,11 +82,16 @@ type sentFrame struct {
 	round uint64
 }
 
+// netClient is the socket Sink RunNet drives Run over. Sink.Drain has
+// no error return, so the first socket error is latched in err: every
+// later Ingest returns it without sending, Drain and Buffered stop
+// talking to the server, and RunNet reports it.
 type netClient struct {
 	cfg  NetConfig
 	conn net.Conn
 	rng  uint64
 	st   NetRunStats
+	err  error // first socket error, latched
 
 	acc     []byte // TCP reassembly accumulator
 	tmp     []byte // read scratch
@@ -97,7 +102,8 @@ type netClient struct {
 	attempts map[uint64]int       // per-frame retransmission counts
 	pending  []nackInfo           // NACKs awaiting settlement
 	round    uint64
-	buffered int // server's buffered count from the last drain reply
+	buffered int  // server's buffered count from the last drain reply
+	ingested bool // a frame was ingested since the last drain reply
 }
 
 // RunNet executes the transport loop against a Listener at cfg.Addr and
@@ -107,9 +113,6 @@ type netClient struct {
 func RunNet(cfg NetConfig, sources []Source) (NetRunStats, error) {
 	if cfg.Network == "" {
 		cfg.Network = "tcp"
-	}
-	if cfg.FrameSamples <= 0 {
-		cfg.FrameSamples = 24
 	}
 	if cfg.FrameSamples > MaxFrameSamples {
 		return NetRunStats{}, fmt.Errorf("serve: %d samples per frame: %w", cfg.FrameSamples, ErrFrameSize)
@@ -143,88 +146,15 @@ func RunNet(cfg NetConfig, sources []Source) (NetRunStats, error) {
 	c.conn = conn
 	defer func() { c.conn.Close() }()
 
-	var buf []byte
-	pos := make([]int, len(sources))
-	seqs := make([]uint16, len(sources))
-	active := len(sources)
-	for active > 0 {
-		c.round++
-		c.pruneSent()
-		for i := range sources {
-			src := &sources[i]
-			p := pos[i]
-			if p >= len(src.Samples) {
-				continue
-			}
-			n := cfg.FrameSamples
-			if p+n > len(src.Samples) {
-				n = len(src.Samples) - p
-			}
-			flags := uint8(0)
-			if p == 0 {
-				flags |= FlagStart
-			}
-			if p+n == len(src.Samples) {
-				flags |= FlagEnd
-			}
-			buf = AppendFrame(buf[:0], src.Session, seqs[i], flags, src.Samples[p:p+n])
-			c.st.Frames++
-			seqs[i]++
-			pos[i] = p + n
-			if pos[i] >= len(src.Samples) {
-				active--
-			}
-			if src.Link == nil {
-				if err := c.deliver(buf); err != nil {
-					return c.st, err
-				}
-				continue
-			}
-			for _, f := range src.Link.Push(buf) {
-				if err := c.deliver(f); err != nil {
-					return c.st, err
-				}
-			}
-		}
-		if _, err := c.drainSync(); err != nil {
-			return c.st, err
-		}
-		if err := c.settleNacks(); err != nil {
-			return c.st, err
-		}
+	// Only Run's frame count is kept: its Retries and Shed stay zero
+	// (the server NACKs instead of returning ErrBackpressure) and its
+	// DrainCalls counts Drain calls, not round trips.
+	tst, err := Run(c, TransportConfig{FrameSamples: cfg.FrameSamples}, sources, nil)
+	c.st.Frames = tst.Frames
+	if err == nil {
+		err = c.err
 	}
-	flushed := 0
-	for i := range sources {
-		if sources[i].Link == nil {
-			continue
-		}
-		for _, f := range sources[i].Link.Flush() {
-			flushed++
-			if err := c.deliver(f); err != nil {
-				return c.st, err
-			}
-		}
-	}
-	// Quiesce exactly as Run does: k drains until the server reports an
-	// empty buffer, then one final drain so end-of-stream flushes emit.
-	// The buffered count piggybacked on each drain reply is Run's
-	// sink.Buffered() check; a link flush that delivered frames refreshes
-	// it first (faulty runs only — fault-free flushes deliver nothing).
-	b := c.buffered
-	if flushed > 0 {
-		if b, err = c.drainSync(); err != nil {
-			return c.st, err
-		}
-	}
-	for b > 0 {
-		if b, err = c.drainSync(); err != nil {
-			return c.st, err
-		}
-	}
-	if _, err := c.drainSync(); err != nil {
-		return c.st, err
-	}
-	if err := c.settleNacks(); err != nil {
+	if err != nil {
 		return c.st, err
 	}
 	// Straggler NACKs: a frame resent at the very end may be re-NACKed
@@ -249,6 +179,55 @@ func RunNet(cfg NetConfig, sources []Source) (NetRunStats, error) {
 	return c.st, nil
 }
 
+// Ingest records frame in the retransmit buffer and sends it as a
+// wireData message.
+func (c *netClient) Ingest(frame []byte) (int, error) {
+	if c.err != nil {
+		return 0, c.err
+	}
+	hdr, _, _, err := parseFrame(frame)
+	if err != nil {
+		return 0, err
+	}
+	key := uint64(hdr.session)<<16 | uint64(hdr.seq)
+	sf := c.sent[key]
+	sf.buf = append(sf.buf[:0], frame...)
+	sf.round = c.round
+	c.sent[key] = sf
+	if c.err = c.send(frame); c.err != nil {
+		return 0, c.err
+	}
+	c.ingested = true
+	return 1, nil
+}
+
+// Drain is one lockstep drain round trip followed by settling the NACKs
+// collected so far; it then opens the next retransmit round. Events are
+// observed server-side, so events comes back unchanged.
+func (c *netClient) Drain(events []Event) []Event {
+	if c.err == nil {
+		if _, c.err = c.drainSync(); c.err == nil {
+			c.err = c.settleNacks()
+		}
+	}
+	c.round++
+	c.pruneSent()
+	return events
+}
+
+// Buffered returns the server's buffered count from the last drain
+// reply. A frame ingested since that reply (a link flush after the last
+// round) is first accounted for with one more drain round trip.
+func (c *netClient) Buffered() int {
+	if c.ingested && c.err == nil {
+		_, c.err = c.drainSync()
+	}
+	if c.err != nil {
+		return 0
+	}
+	return c.buffered
+}
+
 // pruneSent ages out retransmit-buffer entries not offered for two
 // rounds: their NACK window has passed, so they were accepted.
 func (c *netClient) pruneSent() {
@@ -258,21 +237,6 @@ func (c *netClient) pruneSent() {
 			delete(c.attempts, key)
 		}
 	}
-}
-
-// deliver records frame in the retransmit buffer and sends it as a
-// wireData message.
-func (c *netClient) deliver(frame []byte) error {
-	hdr, _, _, err := parseFrame(frame)
-	if err != nil {
-		return err
-	}
-	key := uint64(hdr.session)<<16 | uint64(hdr.seq)
-	sf := c.sent[key]
-	sf.buf = append(sf.buf[:0], frame...)
-	sf.round = c.round
-	c.sent[key] = sf
-	return c.send(frame)
 }
 
 // send transmits one data frame, applying the chaos knobs: a disconnect
@@ -402,6 +366,7 @@ func (c *netClient) drainSync() (int, error) {
 			}
 			c.st.DrainCalls++
 			c.buffered = b
+			c.ingested = false
 			return b, nil
 		case wireNack:
 			c.noteNack(payload)

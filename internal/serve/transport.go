@@ -9,8 +9,8 @@ import "fmt"
 // deliberately wall-clock-free — "backoff" is measured in drain cycles,
 // not sleeps — so every run is deterministic and testable.
 
-// Sink is the ingest side a transport loop feeds: a Service or a
-// Gateway.
+// Sink is the ingest side a transport loop feeds: a Service, a Gateway,
+// or the socket client RunNet runs Run over.
 type Sink interface {
 	// Ingest consumes packed frames; see Service.Ingest.
 	Ingest(buf []byte) (int, error)
